@@ -96,11 +96,6 @@ impl<'a> SamplingWorkload<'a> {
     pub fn prepare(env: &'a RoxEnv, graph: &'a JoinGraph, tau: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut state = EvalState::new(env, graph);
-        for e in graph.edges() {
-            if e.redundant {
-                state.mark_executed(e.id);
-            }
-        }
         for v in graph.vertices() {
             state.seed_sample(v.id, &mut rng, tau);
         }

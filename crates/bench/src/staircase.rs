@@ -16,8 +16,7 @@
 //!    charge-parity contract), so the values printed here must equal the
 //!    pre-vectorization seed's; wall time is what the kernels improve.
 //! 3. **Warm-engine latency** — cold vs plan-replay latency against a
-//!    [`RoxEngine`], the replay recycling its result relations like a
-//!    serving loop; compared against the committed pre-vectorization
+//!    [`RoxEngine`]; compared against the committed pre-vectorization
 //!    baseline (`BENCH_engine.json`, PR 4: 15.30 ms warm replay at the
 //!    default document shape).
 
@@ -25,7 +24,7 @@ use crate::xmark_catalog;
 use rox_core::{PlanReuse, RoxEngine, RoxOptions};
 use rox_datagen::{xmark_query, XmarkConfig};
 use rox_index::{ElementIndex, PreSet};
-use rox_ops::{step_join_kernel, Axis, Cost, ScratchPool, StepKernel, StepScratch};
+use rox_ops::{step_join_kernel, Axis, Cost, StepKernel, StepScratch};
 use rox_xmldb::{Document, Pre};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -134,11 +133,8 @@ pub struct StaircaseBenchResult {
     pub fig8_wall: Duration,
     /// Cold engine latency (fresh engine, first query).
     pub cold: Duration,
-    /// Warm plan-replay latency (results recycled between repeats).
+    /// Warm plan-replay latency.
     pub warm_replay: Duration,
-    /// Scratch-pool misses during the *timed* warm replays (zero once
-    /// traffic is steady-state).
-    pub warm_pool_misses: u64,
 }
 
 fn best_of(repeats: usize, mut f: impl FnMut() -> Duration) -> Duration {
@@ -184,14 +180,12 @@ fn bench_axis(
     axis: Axis,
     ctx: &[Pre],
     cands: &[Pre],
-    pool: &ScratchPool,
     cfg: &StaircaseBenchConfig,
 ) -> AxisBench {
     let universe = cands.last().map_or(0, |&p| p as usize + 1);
     let set = PreSet::from_nodes(universe, cands);
     let cached = StepScratch {
         cands_set: Some(&set),
-        pool: Some(pool),
     };
     let plain = StepScratch::default();
     let mut probe_cost = Cost::new();
@@ -251,7 +245,6 @@ pub fn run(cfg: &StaircaseBenchConfig) -> StaircaseBenchResult {
     let doc_id = catalog.resolve("xmark.xml").expect("generated document");
     let doc = catalog.doc(doc_id);
     let idx = ElementIndex::build(&doc);
-    let pool = ScratchPool::new();
 
     // ---- 1. Per-axis kernels on production-shaped inputs.
     let auctions = lookup(&doc, &idx, "open_auction");
@@ -261,14 +254,14 @@ pub fn run(cfg: &StaircaseBenchConfig) -> StaircaseBenchResult {
     let attrs = idx.attributes().to_vec();
     let axes = vec![
         // auction/bidder: the classic forward child step.
-        bench_axis(&doc, Axis::Child, &auctions, &bidders, &pool, cfg),
+        bench_axis(&doc, Axis::Child, &auctions, &bidders, cfg),
         // person/@*: attribute step.
-        bench_axis(&doc, Axis::Attribute, &persons, &attrs, &pool, cfg),
+        bench_axis(&doc, Axis::Attribute, &persons, &attrs, cfg),
         // bidder/parent::open_auction: one probe per context.
-        bench_axis(&doc, Axis::Parent, &bidders, &auctions, &pool, cfg),
+        bench_axis(&doc, Axis::Parent, &bidders, &auctions, cfg),
         // personref/ancestor::open_auction: the walk the range prune and
         // bitset target — every context chases parents to the root.
-        bench_axis(&doc, Axis::Ancestor, &personrefs, &auctions, &pool, cfg),
+        bench_axis(&doc, Axis::Ancestor, &personrefs, &auctions, cfg),
     ];
 
     // ---- 2. Fig-8 anchor: Q1, work counters kernel-independent.
@@ -277,7 +270,7 @@ pub fn run(cfg: &StaircaseBenchConfig) -> StaircaseBenchResult {
     let report = rox_core::run_rox(Arc::clone(&catalog), &graph, RoxOptions::default()).unwrap();
     let fig8_wall = t.elapsed();
 
-    // ---- 3. Warm-engine latency (the serving loop the pool feeds).
+    // ---- 3. Warm-engine latency (the serving loop's plan replay).
     let reuse = RoxOptions {
         plan_reuse: PlanReuse::ReuseValidated,
         ..Default::default()
@@ -291,24 +284,16 @@ pub fn run(cfg: &StaircaseBenchConfig) -> StaircaseBenchResult {
         wall
     });
     let engine = RoxEngine::new(Arc::clone(&catalog));
-    // Seed the plan cache and the scratch pool, recycling like a server.
-    for _ in 0..2 {
-        let run = engine.run(&graph, reuse).unwrap();
-        run.joined.recycle(engine.scratch_pool());
-        run.output.recycle(engine.scratch_pool());
-    }
-    let misses_before = engine.scratch_pool().stats().misses;
+    // Seed the plan cache.
+    engine.run(&graph, reuse).unwrap();
     let warm_replay = best_of(cfg.repeats, || {
         let t = Instant::now();
         let run = engine.run(&graph, reuse).unwrap();
         let wall = t.elapsed();
         assert!(run.plan_cache_hit, "warm replay missed the plan cache");
         assert_eq!(run.output, report.output, "warm replay output diverged");
-        run.joined.recycle(engine.scratch_pool());
-        run.output.recycle(engine.scratch_pool());
         wall
     });
-    let warm_pool_misses = engine.scratch_pool().stats().misses - misses_before;
 
     StaircaseBenchResult {
         nodes: doc.node_count(),
@@ -319,7 +304,6 @@ pub fn run(cfg: &StaircaseBenchConfig) -> StaircaseBenchResult {
         fig8_wall,
         cold,
         warm_replay,
-        warm_pool_misses,
     }
 }
 
@@ -354,7 +338,7 @@ pub fn to_json(cfg: &StaircaseBenchConfig, r: &StaircaseBenchResult) -> String {
         })
         .collect();
     format!(
-        "{{\n  \"machine\": {},\n  \"config\": {{\"persons\": {}, \"items\": {}, \"auctions\": {}, \"rounds\": {}, \"repeats\": {}}},\n  \"nodes\": {},\n  \"axis_kernels\": [\n    {}\n  ],\n  \"fig8_anchor\": {{\"exec_work\": {}, \"sample_work\": {}, \"rows\": {}, \"wall_ms\": {:.2}}},\n  \"engine_latency\": {{\"cold_ms\": {:.2}, \"warm_replay_ms\": {:.2}, \"warm_pool_misses\": {}, \"baseline_warm_replay_ms\": {:.2}}}\n}}\n",
+        "{{\n  \"machine\": {},\n  \"config\": {{\"persons\": {}, \"items\": {}, \"auctions\": {}, \"rounds\": {}, \"repeats\": {}}},\n  \"nodes\": {},\n  \"axis_kernels\": [\n    {}\n  ],\n  \"fig8_anchor\": {{\"exec_work\": {}, \"sample_work\": {}, \"rows\": {}, \"wall_ms\": {:.2}}},\n  \"engine_latency\": {{\"cold_ms\": {:.2}, \"warm_replay_ms\": {:.2}, \"baseline_warm_replay_ms\": {:.2}}}\n}}\n",
         crate::machine_json(),
         cfg.xmark.persons,
         cfg.xmark.items,
@@ -369,7 +353,6 @@ pub fn to_json(cfg: &StaircaseBenchConfig, r: &StaircaseBenchResult) -> String {
         r.fig8_wall.as_secs_f64() * 1e3,
         r.cold.as_secs_f64() * 1e3,
         r.warm_replay.as_secs_f64() * 1e3,
-        r.warm_pool_misses,
         BASELINE_WARM_REPLAY_MS,
     )
 }
@@ -410,8 +393,8 @@ pub fn render(r: &StaircaseBenchResult) -> String {
     .unwrap();
     writeln!(
         out,
-        "engine       cold {:.3?}  warm-replay {:.3?}  (baseline {:.2} ms)  pool misses in timed replays: {}",
-        r.cold, r.warm_replay, BASELINE_WARM_REPLAY_MS, r.warm_pool_misses
+        "engine       cold {:.3?}  warm-replay {:.3?}  (baseline {:.2} ms)",
+        r.cold, r.warm_replay, BASELINE_WARM_REPLAY_MS
     )
     .unwrap();
     out
@@ -433,8 +416,6 @@ mod tests {
         for a in &r.axes {
             assert!(!a.kernels.is_empty(), "{:?} measured no kernels", a.axis);
         }
-        // The warm replays must be fully pool-served.
-        assert_eq!(r.warm_pool_misses, 0, "steady-state replay allocated");
         let json = to_json(&cfg, &r);
         assert!(json.contains("\"axis_kernels\""));
         assert!(json.contains("\"fig8_anchor\""));

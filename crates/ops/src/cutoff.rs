@@ -7,8 +7,6 @@
 //! carries exactly that bookkeeping for every pair-producing operator.
 
 use crate::cost::Cost;
-use crate::pool::ScratchPool;
-use rox_xmldb::Pre;
 
 /// Output of a (possibly cut-off) pair-producing join.
 #[derive(Debug, Clone)]
@@ -48,26 +46,6 @@ impl<T> JoinOut<T> {
     /// see [`JoinOut::with_limit`]).
     pub fn new(ctx_len: usize) -> Self {
         JoinOut::with_limit(ctx_len, None)
-    }
-
-    /// As [`JoinOut::with_limit`] over a buffer leased from `buf` (already
-    /// empty; capacity is topped up to the same reservation rule). The
-    /// caller returns `self.pairs` to its pool when done.
-    fn with_limit_buf(ctx_len: usize, limit: Option<usize>, mut buf: Vec<(u32, T)>) -> Self
-    where
-        T: Copy,
-    {
-        let cap = limit.unwrap_or(MAX_PREALLOC_PAIRS).min(ctx_len);
-        debug_assert!(buf.is_empty());
-        if buf.capacity() < cap {
-            buf.reserve(cap - buf.len());
-        }
-        JoinOut {
-            pairs: buf,
-            truncated: false,
-            ctx_len,
-            fully_processed: None,
-        }
     }
 
     /// Emit one pair, charging it to `cost`; returns `true` when the limit
@@ -129,22 +107,6 @@ impl<T> JoinOut<T> {
         out.sort_unstable();
         out.dedup();
         out
-    }
-}
-
-impl JoinOut<Pre> {
-    /// As [`JoinOut::with_limit`] with the pair buffer leased from `pool`
-    /// (when given); the caller hands `self.pairs` back via
-    /// [`ScratchPool::give_pairs`] once consumed.
-    pub fn with_limit_pooled(
-        ctx_len: usize,
-        limit: Option<usize>,
-        pool: Option<&ScratchPool>,
-    ) -> Self {
-        match pool {
-            Some(pool) => JoinOut::with_limit_buf(ctx_len, limit, pool.lease_pairs()),
-            None => JoinOut::with_limit(ctx_len, limit),
-        }
     }
 }
 

@@ -19,9 +19,9 @@
 //! |------------|---------|--------------------------------------------------|
 //! | step       | sampled | [`step_join`] with cut-off, caller-fixed outer   |
 //! | step       | full    | [`step_join_partitioned_scratch`], smaller side outer, kernel by [`choose_step_kernel`](crate::cost::choose_step_kernel()) |
-//! | value join | sampled | [`index_value_join_set_pooled`] with cut-off (0-invest) |
-//! | value join | full, skewed | [`index_value_join_set_pooled`], smaller side outer |
-//! | value join | full, balanced | [`hash_value_join_partitioned_with`](crate::partition::hash_value_join_partitioned_with()) (pooled) |
+//! | value join | sampled | [`index_value_join_set`] with cut-off (0-invest) |
+//! | value join | full, skewed | [`index_value_join_set`], smaller side outer |
+//! | value join | full, balanced | [`hash_value_join_partitioned_with`](crate::partition::hash_value_join_partitioned_with()) |
 //!
 //! New operators (staircase variants, semijoin reducers, new axes) plug in
 //! here once and every phase — sampling included — picks them up.
@@ -29,10 +29,9 @@
 use crate::axis::Axis;
 use crate::cost::{choose_op, Cost};
 use crate::cutoff::JoinOut;
-use crate::partition::{hash_value_join_partitioned_pooled, step_join_partitioned_scratch};
-use crate::pool::ScratchPool;
+use crate::partition::{hash_value_join_partitioned_with, step_join_partitioned_scratch};
 use crate::staircase::{naive_axis, step_join, StepScratch};
-use crate::valjoin::{filter_set, index_value_join_set_pooled};
+use crate::valjoin::{filter_set, index_value_join_set};
 use rox_index::{PreSet, SymbolTable, ValueIndex};
 use rox_par::{Parallelism, WorkerPool};
 use rox_xmldb::{Document, NodeKind, Pre};
@@ -205,9 +204,6 @@ pub struct DenseState<'a> {
     pub table1: Option<&'a SymbolTable>,
     /// CSR join table over `input2`'s value symbols.
     pub table2: Option<&'a SymbolTable>,
-    /// Scratch pool for pair buffers, bitset universes, and full-mode
-    /// output orientation (see [`crate::pool`]).
-    pub pool: Option<&'a ScratchPool>,
 }
 
 /// Execute one edge through the kernel: consult
@@ -252,7 +248,7 @@ pub fn execute_edge_op_with(
                     // The bitset kernel's candidate set is the *inner*
                     // endpoint's membership set — the caller's cached one
                     // when provided (the evaluation state's scratch
-                    // arena), else the kernel builds/pools its own.
+                    // arena), else the kernel builds its own.
                     let inner_set = if choice.outer_is_v1 {
                         dense.set2
                     } else {
@@ -260,7 +256,6 @@ pub fn execute_edge_op_with(
                     };
                     let scratch = StepScratch {
                         cands_set: inner_set,
-                        pool: dense.pool,
                     };
                     step_join_partitioned_scratch(
                         outer_doc,
@@ -296,34 +291,26 @@ pub fn execute_edge_op_with(
                     &built_set
                 }
             };
-            index_value_join_set_pooled(
+            index_value_join_set(
                 outer_doc,
                 outer,
                 index,
                 inner_kind,
                 Some(inner_set),
                 limit,
-                // Sampled outputs travel up to the estimator whole; only
-                // full-mode pair buffers return to the pool (right below,
-                // after orientation).
-                match ctx.mode {
-                    ExecMode::Full => dense.pool,
-                    ExecMode::Sampled { .. } => None,
-                },
                 cost,
             )
         }
         EdgeOpKind::HashValueJoin => {
             // Emits (v1, v2)-oriented node pairs directly; the internal
             // build-side choice is independent of the outer/inner framing.
-            let pairs = hash_value_join_partitioned_pooled(
+            let pairs = hash_value_join_partitioned_with(
                 ctx.doc1,
                 ctx.input1,
                 ctx.doc2,
                 ctx.input2,
                 dense.table1,
                 dense.table2,
-                dense.pool,
                 ctx.workers,
                 ctx.par,
                 cost,
@@ -338,27 +325,19 @@ pub fn execute_edge_op_with(
     let result = match ctx.mode {
         ExecMode::Sampled { .. } => EdgeOpResult::Sampled(rows),
         ExecMode::Full => {
-            // Resolve outer rows to nodes and orient pairs as (v1, v2);
-            // the orientation buffer is pool-leased (the caller returns
-            // it once the pairs are composed into the component
-            // relation), and the kernel's pair buffer flows straight
-            // back.
-            let mut pairs = match dense.pool {
-                Some(pool) => pool.lease_node_pairs(),
-                None => Vec::new(),
-            };
-            pairs.reserve(rows.pairs.len());
-            pairs.extend(rows.pairs.iter().map(|&(row, s)| {
-                let c = outer[row as usize];
-                if choice.outer_is_v1 {
-                    (c, s)
-                } else {
-                    (s, c)
-                }
-            }));
-            if let Some(pool) = dense.pool {
-                pool.give_pairs(rows.pairs);
-            }
+            // Resolve outer rows to nodes and orient pairs as (v1, v2).
+            let pairs = rows
+                .pairs
+                .iter()
+                .map(|&(row, s)| {
+                    let c = outer[row as usize];
+                    if choice.outer_is_v1 {
+                        (c, s)
+                    } else {
+                        (s, c)
+                    }
+                })
+                .collect();
             EdgeOpResult::Full(pairs)
         }
     };

@@ -28,7 +28,6 @@ pub mod cost;
 pub mod cutoff;
 pub mod edgeop;
 pub mod partition;
-pub mod pool;
 pub mod relation;
 pub mod staircase;
 pub mod tail;
@@ -49,7 +48,6 @@ pub use partition::{
     hash_value_join_partitioned, hash_value_join_partitioned_with, step_join_partitioned,
     step_join_partitioned_scratch, MIN_PARTITION_INPUT,
 };
-pub use pool::{PoolStats, ScratchPool, MAX_POOLED_PER_SHAPE};
 pub use relation::{Relation, VarId};
 pub use rox_index::{PreSet, SymbolTable};
 pub use rox_par::Parallelism;
@@ -57,5 +55,5 @@ pub use staircase::{naive_axis, step_join, step_join_kernel, step_join_scratch, 
 pub use tail::Tail;
 pub use valjoin::{
     hash_value_join, hash_value_join_with, index_value_join, index_value_join_set,
-    index_value_join_set_pooled, merge_value_join, sorted_by_value,
+    merge_value_join, sorted_by_value,
 };

@@ -21,7 +21,6 @@
 use crate::axis::Axis;
 use crate::cost::{choose_step_kernel, Cost, StepKernel};
 use crate::cutoff::JoinOut;
-use crate::pool::ScratchPool;
 use crate::staircase::{step_join_kernel, step_join_scratch, StepScratch};
 use rox_index::SymbolTable;
 use rox_par::{chunk_ranges, Parallelism, WorkerPool};
@@ -66,8 +65,8 @@ pub fn step_join_partitioned(
     )
 }
 
-/// As [`step_join_partitioned`] with caller-provided scratch state (cached
-/// candidate set and/or buffer pool; see [`StepScratch`]) and an optional
+/// As [`step_join_partitioned`] with caller-provided scratch state (a
+/// cached candidate set; see [`StepScratch`]) and an optional
 /// [`WorkerPool`] handle (`None` runs on the process-shared pool). The
 /// staircase kernel is chosen **once** over the full context, then run per
 /// morsel — every kernel charges and emits identically, so this only fixes
@@ -93,8 +92,7 @@ pub fn step_join_partitioned_scratch(
     let shared_set =
         (kernel == StepKernel::Bitset).then(|| crate::staircase::resolve_cands_set(cands, scratch));
     let morsel_scratch = StepScratch {
-        cands_set: shared_set.as_ref().map(|s| s.get()),
-        pool: scratch.pool,
+        cands_set: shared_set.as_deref(),
     };
     let morsels = chunk_ranges(ctx.len(), threads * 4);
     let pool = workers.unwrap_or_else(|| WorkerPool::shared());
@@ -118,10 +116,7 @@ pub fn step_join_partitioned_scratch(
         }
         (out, local)
     });
-    if let Some(set) = shared_set {
-        set.finish();
-    }
-    merge_runs(ctx.len(), runs, scratch.pool, cost)
+    merge_runs(ctx.len(), runs, cost)
 }
 
 /// Partitioned [`hash_value_join`](crate::valjoin::hash_value_join()):
@@ -137,13 +132,17 @@ pub fn hash_value_join_partitioned(
     par: Parallelism,
     cost: &mut Cost,
 ) -> Vec<(Pre, Pre)> {
-    hash_value_join_partitioned_with(left_doc, left, right_doc, right, None, None, par, cost)
+    hash_value_join_partitioned_with(
+        left_doc, left, right_doc, right, None, None, None, par, cost,
+    )
 }
 
 /// As [`hash_value_join_partitioned`] with optional prebuilt CSR tables
-/// per side (the evaluation state's scratch arena). A prebuilt table must
-/// cover exactly the side's current input; the build investment is charged
-/// either way, so cost counters stay bit-identical to an uncached run.
+/// per side (the evaluation state's scratch arena) and an optional
+/// [`WorkerPool`] handle (`None` runs on the process-shared pool). A
+/// prebuilt table must cover exactly the side's current input; the build
+/// investment is charged either way, so cost counters stay bit-identical
+/// to an uncached run.
 #[allow(clippy::too_many_arguments)]
 pub fn hash_value_join_partitioned_with(
     left_doc: &Document,
@@ -152,36 +151,6 @@ pub fn hash_value_join_partitioned_with(
     right: &[Pre],
     left_table: Option<&SymbolTable>,
     right_table: Option<&SymbolTable>,
-    par: Parallelism,
-    cost: &mut Cost,
-) -> Vec<(Pre, Pre)> {
-    hash_value_join_partitioned_pooled(
-        left_doc,
-        left,
-        right_doc,
-        right,
-        left_table,
-        right_table,
-        None,
-        None,
-        par,
-        cost,
-    )
-}
-
-/// As [`hash_value_join_partitioned_with`] with the pair buffers leased
-/// from `pool` (the caller returns the final buffer via
-/// [`ScratchPool::give_node_pairs`]) and an optional [`WorkerPool`] handle
-/// (`None` runs on the process-shared pool).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn hash_value_join_partitioned_pooled(
-    left_doc: &Document,
-    left: &[Pre],
-    right_doc: &Document,
-    right: &[Pre],
-    left_table: Option<&SymbolTable>,
-    right_table: Option<&SymbolTable>,
-    pool: Option<&ScratchPool>,
     workers: Option<&WorkerPool>,
     par: Parallelism,
     cost: &mut Cost,
@@ -189,14 +158,13 @@ pub(crate) fn hash_value_join_partitioned_pooled(
     let probe_len = left.len().max(right.len());
     let threads = par.effective_threads(probe_len, MIN_PARTITION_INPUT);
     if threads <= 1 {
-        return crate::valjoin::hash_value_join_pooled(
+        return crate::valjoin::hash_value_join_with(
             left_doc,
             left,
             right_doc,
             right,
             left_table,
             right_table,
-            pool,
             cost,
         );
     }
@@ -222,13 +190,10 @@ pub(crate) fn hash_value_join_partitioned_pooled(
         }
     };
     let morsels = chunk_ranges(probe.len(), threads * 4);
-    let worker_pool = workers.unwrap_or_else(|| WorkerPool::shared());
-    let runs = worker_pool.par_map(threads, morsels.len(), |i| {
+    let pool = workers.unwrap_or_else(|| WorkerPool::shared());
+    let runs = pool.par_map(threads, morsels.len(), |i| {
         let mut local = Cost::new();
-        let mut out = match pool {
-            Some(pool) => pool.lease_node_pairs(),
-            None => Vec::new(),
-        };
+        let mut out = Vec::new();
         crate::valjoin::probe_join_table(
             table,
             probe_doc,
@@ -239,35 +204,20 @@ pub(crate) fn hash_value_join_partitioned_pooled(
         );
         (out, local)
     });
-    let mut pairs = match pool {
-        Some(pool) => pool.lease_node_pairs(),
-        None => Vec::new(),
-    };
+    let mut pairs = Vec::new();
     for (out, local) in runs {
         pairs.extend_from_slice(&out);
-        if let Some(pool) = pool {
-            pool.give_node_pairs(out);
-        }
         cost.add(local);
     }
     pairs
 }
 
-/// Concatenate per-morsel `JoinOut`s (in morsel order) into one; morsel
-/// pair buffers flow back into `pool` when one is given.
-fn merge_runs(
-    ctx_len: usize,
-    runs: Vec<(JoinOut<Pre>, Cost)>,
-    pool: Option<&ScratchPool>,
-    cost: &mut Cost,
-) -> JoinOut<Pre> {
-    let mut merged = JoinOut::with_limit_pooled(ctx_len, None, pool);
+/// Concatenate per-morsel `JoinOut`s (in morsel order) into one.
+fn merge_runs(ctx_len: usize, runs: Vec<(JoinOut<Pre>, Cost)>, cost: &mut Cost) -> JoinOut<Pre> {
+    let mut merged = JoinOut::with_limit(ctx_len, None);
     for (out, local) in runs {
         debug_assert!(!out.truncated, "partitioned execution never cuts off");
         merged.pairs.extend_from_slice(&out.pairs);
-        if let Some(pool) = pool {
-            pool.give_pairs(out.pairs);
-        }
         cost.add(local);
     }
     merged

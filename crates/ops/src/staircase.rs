@@ -31,8 +31,8 @@
 //!   no walk over high-fanout child lists.
 //! * [`StepKernel::Bitset`] — the probe walk with membership answered by
 //!   a [`PreSet`] (one shift + mask). The set is the caller's cached one
-//!   ([`StepScratch::cands_set`], the evaluation state's scratch arena),
-//!   a pooled universe, or built on the fly.
+//!   ([`StepScratch::cands_set`], the evaluation state's scratch arena)
+//!   or built on the fly.
 //!
 //! All kernels are **bit-identical** in pairs, pair order, truncation
 //! point, and [`Cost`] charges (pinned by
@@ -43,21 +43,18 @@
 use crate::axis::Axis;
 use crate::cost::{choose_step_kernel, Cost, StepKernel};
 use crate::cutoff::JoinOut;
-use crate::pool::ScratchPool;
 use rox_index::PreSet;
 use rox_xmldb::{Document, NodeKind, Pre};
+use std::borrow::Cow;
 
-/// Caller-provided reusable state for one [`step_join_kernel`] call. Both
-/// fields are optional — the kernel builds (and frees) whatever a `None`
-/// withholds; supplying them only skips rebuilds, never changes results.
+/// Caller-provided reusable state for one [`step_join_kernel`] call. The
+/// field is optional — the kernel builds (and frees) whatever a `None`
+/// withholds; supplying it only skips a rebuild, never changes results.
 #[derive(Default, Clone, Copy)]
 pub struct StepScratch<'a> {
     /// A membership set over exactly the call's candidate list (the
     /// evaluation state caches one per vertex table version).
     pub cands_set: Option<&'a PreSet>,
-    /// Buffer pool for the pair output and, when `cands_set` is absent,
-    /// the bitset kernel's universe.
-    pub pool: Option<&'a ScratchPool>,
 }
 
 /// Evaluate `axis::S` for every context node, stopping once `limit` pairs
@@ -83,8 +80,8 @@ pub fn step_join(
     step_join_scratch(doc, axis, ctx, cands, limit, StepScratch::default(), cost)
 }
 
-/// As [`step_join`] with caller-provided scratch state (cached candidate
-/// set and/or buffer pool).
+/// As [`step_join`] with caller-provided scratch state (a cached
+/// candidate set).
 pub fn step_join_scratch(
     doc: &Document,
     axis: Axis,
@@ -123,70 +120,29 @@ pub fn step_join_kernel(
     );
     match kernel {
         StepKernel::Merge if matches!(axis, Axis::Child | Axis::Attribute) => {
-            merge_walk(doc, axis, ctx, cands, limit, scratch.pool, cost)
+            merge_walk(doc, axis, ctx, cands, limit, cost)
         }
         StepKernel::Probe | StepKernel::Merge => {
-            probe_walk(doc, axis, ctx, cands, None, limit, scratch.pool, cost)
+            probe_walk(doc, axis, ctx, cands, None, limit, cost)
         }
         StepKernel::Bitset => {
             let set = resolve_cands_set(cands, scratch);
-            let out = probe_walk(
-                doc,
-                axis,
-                ctx,
-                cands,
-                Some(set.get()),
-                limit,
-                scratch.pool,
-                cost,
-            );
-            set.finish();
-            out
+            probe_walk(doc, axis, ctx, cands, Some(&set), limit, cost)
         }
     }
 }
 
 /// The bitset kernel's candidate membership set, resolved from one
-/// [`StepScratch`]: the caller's cached set when provided, else a pooled
-/// universe, else a fresh build — the one place that owns the
-/// `cands.last() + 1` universe rule (shared by the sequential and
-/// partitioned entry points).
-pub(crate) enum CandsSet<'a> {
-    /// The caller's cached set (scratch arena).
-    Borrowed(&'a PreSet),
-    /// Leased from the pool; returned by [`CandsSet::finish`].
-    Leased(PreSet, &'a ScratchPool),
-    /// Built fresh for this call.
-    Owned(PreSet),
-}
-
-impl<'a> CandsSet<'a> {
-    /// The membership set over the call's candidates.
-    pub(crate) fn get(&self) -> &PreSet {
-        match self {
-            CandsSet::Borrowed(set) => set,
-            CandsSet::Leased(set, _) => set,
-            CandsSet::Owned(set) => set,
+/// [`StepScratch`]: the caller's cached set when provided, else a fresh
+/// build — the one place that owns the `cands.last() + 1` universe rule
+/// (shared by the sequential and partitioned entry points).
+pub(crate) fn resolve_cands_set<'a>(cands: &[Pre], scratch: StepScratch<'a>) -> Cow<'a, PreSet> {
+    match scratch.cands_set {
+        Some(set) => Cow::Borrowed(set),
+        None => {
+            let universe = cands.last().map_or(0, |&p| p as usize + 1);
+            Cow::Owned(PreSet::from_nodes(universe, cands))
         }
-    }
-
-    /// Hand a leased set back to its pool (no-op otherwise).
-    pub(crate) fn finish(self) {
-        if let CandsSet::Leased(set, pool) = self {
-            pool.give_set(set);
-        }
-    }
-}
-
-/// Resolve the bitset kernel's candidate set from the caller's scratch.
-pub(crate) fn resolve_cands_set<'a>(cands: &[Pre], scratch: StepScratch<'a>) -> CandsSet<'a> {
-    if let Some(set) = scratch.cands_set {
-        return CandsSet::Borrowed(set);
-    }
-    let universe = cands.last().map_or(0, |&p| p as usize + 1);
-    match scratch.pool {
-        Some(pool) => CandsSet::Leased(pool.lease_set(universe, cands), pool),
-        None => CandsSet::Owned(PreSet::from_nodes(universe, cands)),
     }
 }
 
@@ -208,7 +164,6 @@ fn member(cands: &[Pre], set: Option<&PreSet>, lo: Pre, hi: Pre, p: Pre) -> bool
 /// node, traverse the axis and test every produced node. One probe is
 /// charged per produced node whether or not the range prune skips its
 /// lookup, so charges are independent of pruning and membership backend.
-#[allow(clippy::too_many_arguments)]
 fn probe_walk(
     doc: &Document,
     axis: Axis,
@@ -216,10 +171,9 @@ fn probe_walk(
     cands: &[Pre],
     set: Option<&PreSet>,
     limit: Option<usize>,
-    pool: Option<&ScratchPool>,
     cost: &mut Cost,
 ) -> JoinOut<Pre> {
-    let mut out = JoinOut::with_limit_pooled(ctx.len(), limit, pool);
+    let mut out = JoinOut::with_limit(ctx.len(), limit);
     let limit = limit.unwrap_or(usize::MAX);
     // Range prune bounds (empty candidate list: lo > hi rejects all).
     let lo = cands.first().copied().unwrap_or(1);
@@ -391,11 +345,10 @@ fn merge_walk(
     ctx: &[Pre],
     cands: &[Pre],
     limit: Option<usize>,
-    pool: Option<&ScratchPool>,
     cost: &mut Cost,
 ) -> JoinOut<Pre> {
     let want_attr = axis == Axis::Attribute;
-    let mut out = JoinOut::with_limit_pooled(ctx.len(), limit, pool);
+    let mut out = JoinOut::with_limit(ctx.len(), limit);
     let limit = limit.unwrap_or(usize::MAX);
     let mut start = 0usize;
     'outer: for (row, &c) in ctx.iter().enumerate() {

@@ -24,7 +24,6 @@
 
 use crate::cost::Cost;
 use crate::cutoff::JoinOut;
-use crate::pool::ScratchPool;
 use rox_index::{PreSet, SymbolTable, ValueIndex};
 use rox_xmldb::{Document, NodeKind, Pre, Symbol};
 
@@ -51,32 +50,7 @@ pub fn index_value_join_set(
     limit: Option<usize>,
     cost: &mut Cost,
 ) -> JoinOut<Pre> {
-    index_value_join_set_pooled(
-        outer_doc,
-        outer,
-        inner_index,
-        inner_kind,
-        inner_filter,
-        limit,
-        None,
-        cost,
-    )
-}
-
-/// As [`index_value_join_set`] with the pair buffer leased from `pool`
-/// (the caller returns `pairs` via [`ScratchPool::give_pairs`]).
-#[allow(clippy::too_many_arguments)]
-pub fn index_value_join_set_pooled(
-    outer_doc: &Document,
-    outer: &[Pre],
-    inner_index: &ValueIndex,
-    inner_kind: NodeKind,
-    inner_filter: Option<&PreSet>,
-    limit: Option<usize>,
-    pool: Option<&ScratchPool>,
-    cost: &mut Cost,
-) -> JoinOut<Pre> {
-    let mut out = JoinOut::with_limit_pooled(outer.len(), limit, pool);
+    let mut out = JoinOut::with_limit(outer.len(), limit);
     let limit = limit.unwrap_or(usize::MAX);
     'outer: for (row, &c) in outer.iter().enumerate() {
         let row = row as u32;
@@ -216,41 +190,13 @@ pub fn hash_value_join_with(
     right_table: Option<&SymbolTable>,
     cost: &mut Cost,
 ) -> Vec<(Pre, Pre)> {
-    hash_value_join_pooled(
-        left_doc,
-        left,
-        right_doc,
-        right,
-        left_table,
-        right_table,
-        None,
-        cost,
-    )
-}
-
-/// As [`hash_value_join_with`] with the output pair buffer leased from
-/// `pool` (the caller returns it via [`ScratchPool::give_node_pairs`]).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn hash_value_join_pooled(
-    left_doc: &Document,
-    left: &[Pre],
-    right_doc: &Document,
-    right: &[Pre],
-    left_table: Option<&SymbolTable>,
-    right_table: Option<&SymbolTable>,
-    pool: Option<&ScratchPool>,
-    cost: &mut Cost,
-) -> Vec<(Pre, Pre)> {
     let build_left = hash_builds_left(left, right);
     let (build_doc, build, probe_doc, probe, prebuilt) = if build_left {
         (left_doc, left, right_doc, right, left_table)
     } else {
         (right_doc, right, left_doc, left, right_table)
     };
-    let mut out = match pool {
-        Some(pool) => pool.lease_node_pairs(),
-        None => Vec::new(),
-    };
+    let mut out = Vec::new();
     match prebuilt {
         Some(table) => {
             debug_assert_eq!(table.build_len(), build.len(), "stale cached join table");

@@ -18,6 +18,7 @@
 //! grows by τ per round to mitigate the front bias of cut-off sampling.
 
 use crate::estimate::sampled_edge_exec;
+use crate::optimizer::lightest;
 use crate::state::EvalState;
 use rand::rngs::StdRng;
 use rox_index::sample_sorted;
@@ -99,14 +100,7 @@ pub fn chain_sample(
     let unexecuted = state.unexecuted_edges();
     debug_assert!(!unexecuted.is_empty());
     // Line 1: the minimum-weight unexecuted edge.
-    let seed = *unexecuted
-        .iter()
-        .min_by(|&&a, &&b| {
-            let wa = weights[a as usize].unwrap_or(f64::INFINITY);
-            let wb = weights[b as usize].unwrap_or(f64::INFINITY);
-            wa.partial_cmp(&wb).unwrap().then(a.cmp(&b))
-        })
-        .expect("at least one unexecuted edge");
+    let seed = lightest(&unexecuted, weights).expect("at least one unexecuted edge");
     let edge = state.graph.edge(seed);
     let (v1, v2) = (edge.v1, edge.v2);
     let mut trace = ChainTrace {
@@ -353,12 +347,7 @@ mod tests {
         cat.load_str("d.xml", "<site><a><b/></a></site>").unwrap();
         let g = compile_query(r#"for $x in doc("d.xml")//a, $y in $x/b return $y"#).unwrap();
         let env = RoxEnv::new(cat, &g).unwrap();
-        let mut st = EvalState::new(&env, &g);
-        for e in g.edges() {
-            if e.redundant {
-                st.mark_executed(e.id);
-            }
-        }
+        let st = EvalState::new(&env, &g);
         let weights = vec![Some(1.0); g.edge_count()];
         let mut rng = StdRng::seed_from_u64(1);
         let out = chain_sample(
@@ -379,11 +368,6 @@ mod tests {
         let env = RoxEnv::new(cat, &g).unwrap();
         let mut st = EvalState::new(&env, &g);
         let mut rng = StdRng::seed_from_u64(3);
-        for e in g.edges() {
-            if e.redundant {
-                st.mark_executed(e.id);
-            }
-        }
         for v in g.vertices() {
             st.seed_sample(v.id, &mut rng, 20);
         }
@@ -415,11 +399,6 @@ mod tests {
         let env = RoxEnv::new(cat, &g).unwrap();
         let mut st = EvalState::new(&env, &g);
         let mut rng = StdRng::seed_from_u64(9);
-        for e in g.edges() {
-            if e.redundant {
-                st.mark_executed(e.id);
-            }
-        }
         for v in g.vertices() {
             st.seed_sample(v.id, &mut rng, 20);
         }

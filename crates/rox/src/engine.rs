@@ -61,12 +61,12 @@ use crate::plan::validate_plan;
 use crate::state::EdgeExec;
 use rox_index::IndexedStore;
 use rox_joingraph::{EdgeId, JoinGraph, VertexLabel};
-use rox_ops::{Cost, EdgeOpKind, PoolStats, Relation, ScratchPool};
+use rox_ops::{Cost, EdgeOpKind, Relation};
 use rox_par::{Parallelism, WorkerPool};
 use rox_storage::wal::{DocPut, Lsn, Wal, WalIo, WalRecord, WalStats};
 use rox_storage::{
-    recovery, PoolStats as PagePoolStats, RecoveryReport, SaveReport, Snapshot, SnapshotSource,
-    StdWalIo, StorageError, DEFAULT_PAGE_SIZE,
+    recovery, PoolStats, RecoveryReport, SaveReport, Snapshot, SnapshotSource, StdWalIo,
+    StorageError, DEFAULT_PAGE_SIZE,
 };
 use rox_xmldb::{Catalog, DocId, Pre};
 use std::collections::HashMap;
@@ -447,9 +447,6 @@ pub struct EngineStats {
     pub plan_demotions: u64,
     /// Plans currently cached.
     pub cached_plans: usize,
-    /// Scratch-pool lease/miss counters (see
-    /// [`RoxEngine::scratch_pool`]).
-    pub scratch: PoolStats,
     /// Jobs offered to the serving path ([`RoxEngine::try_submit`] and
     /// [`RoxEngine::run_many`]), admitted or not.
     pub jobs_submitted: u64,
@@ -467,7 +464,7 @@ pub struct EngineStats {
     /// Buffer-pool traffic of the snapshot backing this engine — page
     /// hits/misses/evictions and frame occupancy. All zero for an
     /// in-memory engine (no snapshot).
-    pub pages: PagePoolStats,
+    pub pages: PoolStats,
     /// Total pages in the backing snapshot file (0 without one) — the
     /// 100% mark the pool's `capacity` is a fraction of.
     pub snapshot_pages: u64,
@@ -595,11 +592,6 @@ impl EngineRun {
 pub struct RoxEngine {
     store: Arc<IndexedStore>,
     base_lists: Arc<BaseListCache>,
-    /// Recycled execution-spine buffers, shared across every session (and
-    /// therefore across queries): once traffic is warm, full executions
-    /// lease pair buffers, relation columns, and bitset universes here
-    /// instead of allocating (see [`rox_ops::pool`]).
-    scratch: Arc<ScratchPool>,
     plans: Mutex<PlanCache>,
     /// Per-document statistics epochs, keyed by URI (absent = epoch 0).
     /// [`RoxEngine::invalidate_document`] bumps an epoch *before* touching
@@ -937,7 +929,6 @@ impl RoxEngine {
         RoxEngine {
             store,
             base_lists: Arc::new(BaseListCache::new()),
-            scratch: Arc::new(ScratchPool::new()),
             plans: Mutex::new(PlanCache::default()),
             doc_epochs: RwLock::new(HashMap::new()),
             plan_hits: AtomicU64::new(0),
@@ -1017,14 +1008,6 @@ impl RoxEngine {
         &self.base_lists
     }
 
-    /// The shared scratch pool; [`ScratchPool::stats`] exposes the warm
-    /// traffic's lease/miss counters (a warm repeat query leases every
-    /// pooled buffer — zero misses — the property the engine proptest
-    /// pins).
-    pub fn scratch_pool(&self) -> &Arc<ScratchPool> {
-        &self.scratch
-    }
-
     /// A per-query session: a thin [`RoxEnv`] view borrowing this engine's
     /// index store and base-list cache. Cheap enough to create per call —
     /// the only per-session work is resolving the graph's document URIs.
@@ -1032,7 +1015,6 @@ impl RoxEngine {
         RoxEnv::from_shared(
             Arc::clone(&self.store),
             Arc::clone(&self.base_lists),
-            Arc::clone(&self.scratch),
             Some(Arc::clone(&self.workers)),
             graph,
             Parallelism::Sequential,
@@ -1232,7 +1214,6 @@ impl RoxEngine {
             plan_misses: self.plan_misses.load(Ordering::Relaxed),
             plan_demotions: self.plan_demotions.load(Ordering::Relaxed),
             cached_plans: self.plans.lock().expect("plan cache").map.len(),
-            scratch: self.scratch.stats(),
             jobs_submitted: self.jobs_submitted.load(Ordering::Relaxed),
             jobs_served: self.jobs_served.load(Ordering::Relaxed),
             jobs_rejected: self.jobs_rejected.load(Ordering::Relaxed),

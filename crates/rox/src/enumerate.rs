@@ -281,11 +281,6 @@ pub fn classical_join_order(env: &RoxEnv, graph: &JoinGraph, star: &StarQuery) -
         .enumerate()
         .map(|(i, m)| {
             let mut st = EvalState::new(env, graph);
-            for e in graph.edges() {
-                if e.redundant {
-                    st.mark_executed(e.id);
-                }
-            }
             for &e in &m.prep_edges {
                 st.execute_edge(e, None);
             }

@@ -36,15 +36,15 @@
 //! the same relation); demotion recovers the *order* quality.
 
 use crate::env::RoxEnv;
-use crate::estimate::{estimate_card, estimate_cards};
-use crate::optimizer::{optimize_loop, RoxOptions};
+use crate::estimate::estimate_card;
+use crate::optimizer::{optimize_loop, phase1_weights, RoxOptions};
 use crate::plan::{validate_plan, PlanError};
 use crate::state::{EdgeExec, EvalState};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rox_joingraph::{EdgeId, JoinGraph};
 use rox_ops::{
-    drift_ratio, revalidation_budget, Cost, Relation, Tail, DRIFT_RATIO, REVALIDATE_SPOT_CHECKS,
+    drift_ratio, revalidation_budget, Cost, Relation, DRIFT_RATIO, REVALIDATE_SPOT_CHECKS,
     REVALIDATE_SPOT_TAU,
 };
 use std::time::{Duration, Instant};
@@ -177,12 +177,6 @@ pub(crate) fn run_guarded(
     let mut checks: Vec<SpotCheck> = Vec::new();
     let mut breached = false;
 
-    for e in graph.edges() {
-        if e.redundant {
-            state.mark_executed(e.id);
-        }
-    }
-
     // ---- Sampled spot checks: re-run the seed-time probe procedure ----
     // ---- on the first K plan edges and compare bit-for-bit.        ----
     let t0 = Instant::now();
@@ -262,18 +256,7 @@ pub(crate) fn run_guarded(
         for v in graph.vertices() {
             state.seed_sample_current(v.id, &mut rng, options.tau);
         }
-        let mut weights: Vec<Option<f64>> = vec![None; graph.edge_count()];
-        let candidates = state.unexecuted_edges();
-        let ws = estimate_cards(
-            &state,
-            &candidates,
-            options.tau,
-            options.parallelism,
-            &mut sample_cost,
-        );
-        for (&e, w) in candidates.iter().zip(ws) {
-            weights[e as usize] = w;
-        }
+        let mut weights = phase1_weights(&state, &options, &mut sample_cost);
         sample_wall += t1.elapsed();
         optimize_loop(
             &mut state,
@@ -292,15 +275,7 @@ pub(crate) fn run_guarded(
     };
 
     // ---- Finalize exactly like every other run driver. ----
-    let joined = state.finalize();
-    state.recycle_scratch();
-    let tail = Tail {
-        dedup_vars: graph.tail.dedup.clone(),
-        sort_vars: graph.tail.sort.clone(),
-        output_vars: vec![graph.tail.output],
-    };
-    let mut exec_cost = state.exec_cost;
-    let output = tail.apply(&joined, &mut exec_cost);
+    let (joined, output, exec_cost) = state.finish();
 
     Ok(GuardedRun {
         joined,
@@ -354,11 +329,6 @@ pub(crate) fn plan_expectations(
 ) -> Vec<EdgeExpectation> {
     debug_assert_eq!(order.len(), edge_log.len());
     let mut state = EvalState::new(env, graph);
-    for e in graph.edges() {
-        if e.redundant {
-            state.mark_executed(e.id);
-        }
-    }
     let mut maintenance = Cost::new();
     let mut expectations = Vec::with_capacity(order.len());
     for (i, (&e, exec)) in order.iter().zip(edge_log).enumerate() {
@@ -374,6 +344,5 @@ pub(crate) fn plan_expectations(
             inputs: exec.inputs,
         });
     }
-    state.recycle_scratch();
     expectations
 }

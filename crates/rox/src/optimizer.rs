@@ -16,7 +16,7 @@ use crate::state::{EdgeExec, EvalState};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rox_joingraph::{EdgeId, JoinGraph};
-use rox_ops::{Cost, Relation, Tail};
+use rox_ops::{Cost, Relation};
 use rox_par::Parallelism;
 use rox_xmldb::Catalog;
 use std::sync::Arc;
@@ -159,34 +159,12 @@ pub fn run_rox_with_env(
     let mut exec_wall = Duration::ZERO;
     let mut traces = Vec::new();
 
-    // Descendant steps from document roots are semantically redundant and
-    // skipped (§3.2).
-    for e in graph.edges() {
-        if e.redundant {
-            state.mark_executed(e.id);
-        }
-    }
-
     // ---- Phase 1: seed samples, cards and edge weights (lines 1-4). ----
     let t0 = Instant::now();
     for v in graph.vertices() {
         state.seed_sample(v.id, &mut rng, options.tau);
     }
-    // Every candidate edge is weighted by an independent cut-off sampled
-    // operator run over shared immutable state — the embarrassingly
-    // parallel step `estimate_cards` fans out across the worker pool.
-    let mut weights: Vec<Option<f64>> = vec![None; graph.edge_count()];
-    let candidates = state.unexecuted_edges();
-    let ws = estimate_cards(
-        &state,
-        &candidates,
-        options.tau,
-        options.parallelism,
-        &mut sample_cost,
-    );
-    for (&e, w) in candidates.iter().zip(ws) {
-        weights[e as usize] = w;
-    }
+    let mut weights = phase1_weights(&state, &options, &mut sample_cost);
     sample_wall += t0.elapsed();
 
     // ---- Phase 2: alternate exploration and execution (lines 5-19). ----
@@ -205,15 +183,7 @@ pub fn run_rox_with_env(
 
     // ---- Finalize: assemble the full join and apply the tail. ----
     let t_fin = Instant::now();
-    let joined = state.finalize();
-    state.recycle_scratch();
-    let tail = Tail {
-        dedup_vars: graph.tail.dedup.clone(),
-        sort_vars: graph.tail.sort.clone(),
-        output_vars: vec![graph.tail.output],
-    };
-    let mut exec_cost = state.exec_cost;
-    let output = tail.apply(&joined, &mut exec_cost);
+    let (joined, output, exec_cost) = state.finish();
     exec_wall += t_fin.elapsed();
 
     Ok(RoxReport {
@@ -227,6 +197,54 @@ pub fn run_rox_with_env(
         sample_wall,
         total_wall: started.elapsed(),
         traces,
+    })
+}
+
+/// Phase-1 edge weights (Algorithm 1, line 4) over a state whose samples
+/// are seeded: every unexecuted edge weighted by an independent cut-off
+/// sampled operator run, indexed by edge id (`None` for executed or
+/// unweighable edges). Shared by a fresh run and the guarded replay's
+/// mid-query demotion.
+pub(crate) fn phase1_weights(
+    state: &EvalState<'_>,
+    options: &RoxOptions,
+    sample_cost: &mut Cost,
+) -> Vec<Option<f64>> {
+    let mut weights = vec![None; state.graph.edge_count()];
+    reweigh(
+        state,
+        &state.unexecuted_edges(),
+        &mut weights,
+        options,
+        sample_cost,
+    );
+    weights
+}
+
+/// Re-estimate `edges` into `weights` — one independent sampled run per
+/// edge over shared immutable state, the embarrassingly parallel step
+/// [`estimate_cards`] fans out across the worker pool.
+fn reweigh(
+    state: &EvalState<'_>,
+    edges: &[EdgeId],
+    weights: &mut [Option<f64>],
+    options: &RoxOptions,
+    sample_cost: &mut Cost,
+) {
+    let ws = estimate_cards(state, edges, options.tau, options.parallelism, sample_cost);
+    for (&e, w) in edges.iter().zip(ws) {
+        weights[e as usize] = w;
+    }
+}
+
+/// The minimum-weight edge of `edges` (an unweighted edge counts as
+/// infinitely heavy; ties go to the lower edge id) — the pick rule of
+/// chain sampling's seed edge, the greedy ablation, and segment execution.
+pub(crate) fn lightest(edges: &[EdgeId], weights: &[Option<f64>]) -> Option<EdgeId> {
+    edges.iter().copied().min_by(|&a, &b| {
+        let wa = weights[a as usize].unwrap_or(f64::INFINITY);
+        let wb = weights[b as usize].unwrap_or(f64::INFINITY);
+        wa.total_cmp(&wb).then(a.cmp(&b))
     })
 }
 
@@ -268,15 +286,7 @@ pub(crate) fn optimize_loop(
             )
         } else {
             // Greedy ablation: the minimum-weight edge, no lookahead.
-            let e = *state
-                .unexecuted_edges()
-                .iter()
-                .min_by(|&&a, &&b| {
-                    let wa = weights[a as usize].unwrap_or(f64::INFINITY);
-                    let wb = weights[b as usize].unwrap_or(f64::INFINITY);
-                    wa.partial_cmp(&wb).unwrap().then(a.cmp(&b))
-                })
-                .expect("loop guard");
+            let e = lightest(&state.unexecuted_edges(), weights).expect("loop guard");
             crate::chain::ChainOutcome {
                 path: vec![e],
                 trace: crate::chain::ChainTrace {
@@ -296,11 +306,7 @@ pub(crate) fn optimize_loop(
         let mut remaining: Vec<EdgeId> = outcome.path;
         while !remaining.is_empty() {
             remaining.retain(|&e| !state.is_executed(e));
-            let Some(&e) = remaining.iter().min_by(|&&a, &&b| {
-                let wa = weights[a as usize].unwrap_or(f64::INFINITY);
-                let wb = weights[b as usize].unwrap_or(f64::INFINITY);
-                wa.partial_cmp(&wb).unwrap().then(a.cmp(&b))
-            }) else {
+            let Some(e) = lightest(&remaining, weights) else {
                 break;
             };
             let t_exec = Instant::now();
@@ -317,11 +323,7 @@ pub(crate) fn optimize_loop(
                     .iter()
                     .flat_map(|&v| state.unexecuted_edges_of(v))
                     .collect();
-                let ws =
-                    estimate_cards(state, &stale, options.tau, options.parallelism, sample_cost);
-                for (&e2, w) in stale.iter().zip(ws) {
-                    weights[e2 as usize] = w;
-                }
+                reweigh(state, &stale, weights, options, sample_cost);
                 *sample_wall += t_rw.elapsed();
             }
         }

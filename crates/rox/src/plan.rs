@@ -12,7 +12,7 @@
 use crate::env::{EnvError, RoxEnv};
 use crate::state::{EdgeExec, EvalState};
 use rox_joingraph::{EdgeId, JoinGraph};
-use rox_ops::{Cost, Relation, Tail};
+use rox_ops::{Cost, Relation};
 use rox_xmldb::Catalog;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -133,26 +133,13 @@ pub fn run_plan_with_env_parallel(
     let started = Instant::now();
     let mut state = EvalState::new(env, graph);
     state.set_parallelism(parallelism);
-    for e in graph.edges() {
-        if e.redundant {
-            state.mark_executed(e.id);
-        }
-    }
     for &e in order {
         if graph.edge(e).redundant {
             continue;
         }
         state.execute_edge(e, None);
     }
-    let joined = state.finalize();
-    state.recycle_scratch();
-    let tail = Tail {
-        dedup_vars: graph.tail.dedup.clone(),
-        sort_vars: graph.tail.sort.clone(),
-        output_vars: vec![graph.tail.output],
-    };
-    let mut cost = state.exec_cost;
-    let output = tail.apply(&joined, &mut cost);
+    let (joined, output, cost) = state.finish();
     Ok(PlanRun {
         cumulative_join_rows: state.cumulative_intermediate(true),
         cumulative_rows: state.cumulative_intermediate(false),

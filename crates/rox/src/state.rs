@@ -22,7 +22,7 @@ use rox_index::{sample_sorted, PreSet, SymbolTable};
 use rox_joingraph::{EdgeId, EdgeKind, JoinGraph, VertexId, VertexLabel};
 use rox_ops::{
     choose_op, choose_step_kernel, edge_predicate, execute_edge_op_with, Cost, DenseState,
-    EdgeClass, EdgeOpCtx, EdgeOpKind, ExecMode, Relation, StepKernel,
+    EdgeClass, EdgeOpCtx, EdgeOpKind, ExecMode, Relation, StepKernel, Tail,
 };
 use rox_xmldb::{NodeKind, Pre};
 use std::sync::{Arc, RwLock};
@@ -91,29 +91,9 @@ impl Scratch {
     }
 
     /// Drop both cached structures of `v` (call on every `T(v)` write).
-    /// A bitset this state held the last reference to returns its word
-    /// buffer to the pool.
-    fn invalidate(&self, v: VertexId, pool: &rox_ops::ScratchPool) {
-        if let Some(set) = self.sets.write().expect("scratch sets")[v as usize].take() {
-            if let Ok(set) = Arc::try_unwrap(set) {
-                pool.give_set(set);
-            }
-        }
+    fn invalidate(&self, v: VertexId) {
+        self.sets.write().expect("scratch sets")[v as usize] = None;
         self.tables.write().expect("scratch tables")[v as usize] = None;
-    }
-
-    /// Drain every cached bitset into the pool (end-of-run cleanup).
-    fn recycle(&self, pool: &rox_ops::ScratchPool) {
-        for slot in self.sets.write().expect("scratch sets").iter_mut() {
-            if let Some(set) = slot.take() {
-                if let Ok(set) = Arc::try_unwrap(set) {
-                    pool.give_set(set);
-                }
-            }
-        }
-        for slot in self.tables.write().expect("scratch tables").iter_mut() {
-            *slot = None;
-        }
     }
 }
 
@@ -144,9 +124,10 @@ pub struct EvalState<'a> {
 }
 
 impl<'a> EvalState<'a> {
-    /// Fresh state; nothing materialized, nothing executed. Full edge
-    /// execution inherits the environment's [`rox_par::Parallelism`]
-    /// budget.
+    /// Fresh state; nothing materialized, and only the redundant edges
+    /// (descendant steps from document roots, §3.2) count as executed —
+    /// they are skipped, never run. Full edge execution inherits the
+    /// environment's [`rox_par::Parallelism`] budget.
     pub fn new(env: &'a RoxEnv, graph: &'a JoinGraph) -> Self {
         let nv = graph.vertex_count();
         EvalState {
@@ -157,7 +138,7 @@ impl<'a> EvalState<'a> {
             t: vec![None; nv],
             card: vec![None; nv],
             sample: vec![None; nv],
-            executed: vec![false; graph.edge_count()],
+            executed: graph.edges().iter().map(|e| e.redundant).collect(),
             parallelism: env.parallelism(),
             scratch: Scratch::new(nv),
             exec_cost: Cost::new(),
@@ -175,11 +156,6 @@ impl<'a> EvalState<'a> {
     /// Has edge `e` been executed (or skipped as redundant)?
     pub fn is_executed(&self, e: EdgeId) -> bool {
         self.executed[e as usize]
-    }
-
-    /// Mark an edge executed without running it (redundant root steps).
-    pub fn mark_executed(&mut self, e: EdgeId) {
-        self.executed[e as usize] = true;
     }
 
     /// Ids of unexecuted edges.
@@ -237,11 +213,7 @@ impl<'a> EvalState<'a> {
             return Arc::clone(set);
         }
         let nodes = self.table_or_base(v);
-        let set = Arc::new(
-            self.env
-                .pool()
-                .lease_set(self.env.doc(v).node_count(), &nodes),
-        );
+        let set = Arc::new(PreSet::from_nodes(self.env.doc(v).node_count(), &nodes));
         self.scratch.sets.write().expect("scratch sets")[v as usize] = Some(Arc::clone(&set));
         set
     }
@@ -284,14 +256,12 @@ impl<'a> EvalState<'a> {
         }
         let base = self.env.base_list(self.graph, v);
         self.exec_cost.charge_in(base.len());
-        let mut nodes = self.env.pool().lease_pres();
-        nodes.extend_from_slice(&base);
-        let rel = Relation::single(v, self.env.doc_id(v), nodes);
+        let rel = Relation::single(v, self.env.doc_id(v), base.to_vec());
         let cid = self.components.len();
         self.components.push(Some(rel));
         self.comp_of[v as usize] = Some(cid);
         self.t[v as usize] = Some(base);
-        self.scratch.invalidate(v, self.env.pool());
+        self.scratch.invalidate(v);
         self.card[v as usize] = Some(self.t[v as usize].as_ref().unwrap().len());
     }
 
@@ -327,14 +297,7 @@ impl<'a> EvalState<'a> {
             let right = self.components[c2].take().expect("live component");
             let (pairs, op) = self.node_pairs(&edge);
             let pair_count = pairs.len();
-            let pool = self.env.pool();
-            let joined = Relation::compose_pooled(&left, v1, &right, v2, &pairs, Some(pool));
-            // The consumed inputs flow back into the pool: the pair list
-            // and both operands' column buffers become the next edge's
-            // scratch.
-            pool.give_node_pairs(pairs);
-            left.recycle(pool);
-            right.recycle(pool);
+            let joined = Relation::compose(&left, v1, &right, v2, &pairs);
             self.exec_cost.charge_out(joined.len());
             // Re-point all vertices of the absorbed component.
             for v in 0..self.comp_of.len() {
@@ -363,10 +326,8 @@ impl<'a> EvalState<'a> {
         for i in 0..merged.schema().len() {
             let merged = self.components[c1].as_ref().expect("live component");
             let v = merged.schema()[i];
-            let mut distinct = self.env.pool().lease_pres();
-            merged.distinct_nodes_into(v, &mut distinct);
-            let new_card = distinct.len();
-            let t = Arc::new(distinct);
+            let t = Arc::new(merged.distinct_nodes(v));
+            let new_card = t.len();
             let stale = self.t[v as usize].as_ref().is_none_or(|old| **old != *t);
             if (stale || self.card[v as usize] != Some(new_card)) && !changed.contains(&v) {
                 changed.push(v);
@@ -375,14 +336,8 @@ impl<'a> EvalState<'a> {
             if let Some((rng, tau)) = sampler.as_mut() {
                 self.sample[v as usize] = Some(Arc::new(sample_sorted(*rng, &t, *tau)));
             }
-            // Recycle the replaced table when this state held the last
-            // reference (samples and in-flight estimates hold their own).
-            if let Some(old) = self.t[v as usize].replace(t) {
-                if let Ok(buf) = Arc::try_unwrap(old) {
-                    self.env.pool().give_pres(buf);
-                }
-            }
-            self.scratch.invalidate(v, self.env.pool());
+            self.t[v as usize] = Some(t);
+            self.scratch.invalidate(v);
         }
         changed
     }
@@ -464,7 +419,6 @@ impl<'a> EvalState<'a> {
             set2: set2.as_deref(),
             table1: table1.as_deref(),
             table2: table2.as_deref(),
-            pool: Some(self.env.pool()),
         };
         let out = execute_edge_op_with(
             EdgeOpCtx {
@@ -489,25 +443,21 @@ impl<'a> EvalState<'a> {
 
     /// Filter a component's rows by an intra-component edge predicate (the
     /// kernel's [`EdgeOpKind::Select`] path). The join columns are read as
-    /// borrowed slices (no clones) and the keep-flags buffer is
-    /// pool-leased.
+    /// borrowed slices (no clones).
     fn filter_component(&mut self, edge: &rox_joingraph::Edge, rel: Relation) -> Relation {
         let (v1, v2) = (edge.v1, edge.v2);
         self.exec_cost.charge_in(rel.len());
         let class = edge.kind.class();
         let d1 = self.env.doc(v1);
         let d2 = self.env.doc(v2);
-        let pool = self.env.pool();
-        let mut keep = pool.lease_flags();
-        keep.extend(
-            rel.col(v1)
-                .iter()
-                .zip(rel.col(v2))
-                .map(|(&a, &b)| edge_predicate(class, &d1, &d2, a, b)),
-        );
+        let keep: Vec<bool> = rel
+            .col(v1)
+            .iter()
+            .zip(rel.col(v2))
+            .map(|(&a, &b)| edge_predicate(class, &d1, &d2, a, b))
+            .collect();
         let mut rel = rel;
         rel.retain_rows(&keep);
-        pool.give_flags(keep);
         self.exec_cost.charge_out(rel.len());
         rel
     }
@@ -542,32 +492,26 @@ impl<'a> EvalState<'a> {
             None => Relation::empty(vec![], vec![]),
         };
         for part in parts {
-            let product = Relation::cartesian(&result, &part);
-            result.recycle(self.env.pool());
-            part.recycle(self.env.pool());
-            result = product;
+            result = Relation::cartesian(&result, &part);
             self.exec_cost.charge_out(result.len());
         }
         result
     }
 
-    /// Return every per-vertex scratch buffer this state still holds —
-    /// `T(v)` tables and cached membership bitsets — to the environment's
-    /// pool. Called by the run drivers once evaluation is finished (after
-    /// [`EvalState::finalize`]); the next query on the same engine then
-    /// leases these buffers instead of allocating. Only buffers with no
-    /// outstanding references move (shared base lists and live samples
-    /// stay untouched), so calling this is always safe.
-    pub fn recycle_scratch(&mut self) {
-        let pool = self.env.pool();
-        for slot in self.t.iter_mut() {
-            if let Some(arc) = slot.take() {
-                if let Ok(buf) = Arc::try_unwrap(arc) {
-                    pool.give_pres(buf);
-                }
-            }
-        }
-        self.scratch.recycle(pool);
+    /// The common end of every run driver: [`EvalState::finalize`], then
+    /// the graph's plan tail (π·δ·τ·π). Returns the fully joined
+    /// relation, the query output, and the full-execution work including
+    /// the tail's.
+    pub fn finish(&mut self) -> (Relation, Relation, Cost) {
+        let joined = self.finalize();
+        let tail = Tail {
+            dedup_vars: self.graph.tail.dedup.clone(),
+            sort_vars: self.graph.tail.sort.clone(),
+            output_vars: vec![self.graph.tail.output],
+        };
+        let mut exec_cost = self.exec_cost;
+        let output = tail.apply(&joined, &mut exec_cost);
+        (joined, output, exec_cost)
     }
 
     /// Sum of all logged intermediate result sizes (Fig. 5's metric), over
@@ -634,11 +578,6 @@ mod tests {
         );
         let env = RoxEnv::new(cat, &g).unwrap();
         let mut st = EvalState::new(&env, &g);
-        for e in g.edges() {
-            if e.redundant {
-                st.mark_executed(e.id);
-            }
-        }
         assert!(st.unexecuted_edges().is_empty());
         let rel = st.finalize();
         assert_eq!(rel.len(), 2); // two persons
@@ -656,11 +595,6 @@ mod tests {
         );
         let env = RoxEnv::new(cat, &g).unwrap();
         let mut st = EvalState::new(&env, &g);
-        for e in g.edges() {
-            if e.redundant {
-                st.mark_executed(e.id);
-            }
-        }
         // Execute steps then the join, in edge order.
         for e in st.unexecuted_edges() {
             st.execute_edge(e, None);
@@ -684,11 +618,6 @@ mod tests {
         );
         let env = RoxEnv::new(cat, &g).unwrap();
         let mut st = EvalState::new(&env, &g);
-        for e in g.edges() {
-            if e.redundant {
-                st.mark_executed(e.id);
-            }
-        }
         let edges = st.unexecuted_edges();
         assert_eq!(edges.len(), 2);
         for e in edges {
@@ -732,11 +661,6 @@ mod tests {
         .unwrap();
         let env = RoxEnv::new(cat, &g).unwrap();
         let mut st = EvalState::new(&env, &g);
-        for e in g.edges() {
-            if e.redundant {
-                st.mark_executed(e.id);
-            }
-        }
         for e in st.unexecuted_edges() {
             st.execute_edge(e, None);
         }
@@ -756,11 +680,6 @@ mod tests {
         );
         let env = RoxEnv::new(cat, &g).unwrap();
         let mut st = EvalState::new(&env, &g);
-        for e in g.edges() {
-            if e.redundant {
-                st.mark_executed(e.id);
-            }
-        }
         for e in st.unexecuted_edges() {
             st.execute_edge(e, None);
         }

@@ -234,29 +234,57 @@ fn zipf_cdf(shapes: usize, s: f64) -> Vec<f64> {
 
 /// Fire one scenario at a freshly seeded engine and collect its metrics.
 pub fn run_scenario(cfg: &ServingBenchConfig, scenario: &ServingScenario) -> ScenarioResult {
-    let catalog = xmark_catalog(&cfg.xmark);
-    let graphs = cfg.graphs();
     let engine = Arc::new(RoxEngine::with_workers(
-        catalog,
+        xmark_catalog(&cfg.xmark),
         Arc::new(WorkerPool::new(cfg.workers.max(1))),
     ));
-    let seed_options = RoxOptions {
+    let graphs = cfg.graphs();
+    let reference = warm_up(cfg, &engine, &graphs);
+    let arrivals = dispatch(cfg, scenario, &engine, &graphs);
+    drain(scenario, &engine, arrivals, &reference)
+}
+
+/// Plan-seeding options shared by the warmup and the served jobs.
+fn seed_options(cfg: &ServingBenchConfig) -> RoxOptions {
+    RoxOptions {
         tau: cfg.tau,
         plan_reuse: PlanReuse::ReuseValidated,
         ..Default::default()
-    };
+    }
+}
+
+/// Warmup outside the measured window: seed indexes, base lists, and one
+/// validated plan per shape, and return the reference outputs.
+fn warm_up(cfg: &ServingBenchConfig, engine: &RoxEngine, graphs: &[JoinGraph]) -> Vec<Relation> {
+    graphs
+        .iter()
+        .map(|g| engine.run(g, seed_options(cfg)).unwrap().output)
+        .collect()
+}
+
+/// What the open-loop dispatcher leaves for [`drain`].
+struct Arrivals {
+    start: Instant,
+    window: Duration,
+    inflight: Vec<(Instant, usize, EngineTicket)>,
+    submitted: usize,
+    rejected: usize,
+    depth_sum: u64,
+    depth_max: usize,
+}
+
+/// The arrival window: fire the scenario's Poisson arrivals at `engine`
+/// without ever waiting for a completion.
+fn dispatch(
+    cfg: &ServingBenchConfig,
+    scenario: &ServingScenario,
+    engine: &Arc<RoxEngine>,
+    graphs: &[JoinGraph],
+) -> Arrivals {
     let serve_options = RoxOptions {
         max_queued: scenario.max_queued,
-        ..seed_options
+        ..seed_options(cfg)
     };
-
-    // Warmup outside the measured window: seed indexes, base lists, and
-    // one validated plan per shape, and keep the reference outputs.
-    let reference: Vec<Relation> = graphs
-        .iter()
-        .map(|g| engine.run(g, seed_options).unwrap().output)
-        .collect();
-
     let cdf = zipf_cdf(graphs.len(), cfg.zipf_s);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut inflight: Vec<(Instant, usize, EngineTicket)> = Vec::new();
@@ -292,10 +320,36 @@ pub fn run_scenario(cfg: &ServingBenchConfig, scenario: &ServingScenario) -> Sce
         let u: f64 = rng.random();
         next_at += Duration::from_secs_f64((-(1.0 - u).ln()) / scenario.arrival_qps);
     }
-    let arrival_window = start.elapsed();
+    Arrivals {
+        start,
+        window: start.elapsed(),
+        inflight,
+        submitted,
+        rejected,
+        depth_sum,
+        depth_max,
+    }
+}
 
-    // Drain: latency is worker-side finish minus submit, so collecting
-    // tickets in submission order here cannot inflate the tail.
+/// Wait for every admitted job, check its output against `reference`, and
+/// reconcile the engine's admission counters.
+fn drain(
+    scenario: &ServingScenario,
+    engine: &RoxEngine,
+    arrivals: Arrivals,
+    reference: &[Relation],
+) -> ScenarioResult {
+    let Arrivals {
+        start,
+        window,
+        inflight,
+        submitted,
+        rejected,
+        depth_sum,
+        depth_max,
+    } = arrivals;
+    // Latency is worker-side finish minus submit, so collecting tickets
+    // in submission order here cannot inflate the tail.
     let mut latencies = Vec::with_capacity(inflight.len());
     let mut aborted = 0usize;
     for (submitted_at, shape, ticket) in inflight {
@@ -328,7 +382,7 @@ pub fn run_scenario(cfg: &ServingBenchConfig, scenario: &ServingScenario) -> Sce
         rejected,
         aborted,
         rejection_rate: rejected as f64 / (submitted as f64).max(1.0),
-        offered_qps: submitted as f64 / arrival_window.as_secs_f64().max(f64::EPSILON),
+        offered_qps: submitted as f64 / window.as_secs_f64().max(f64::EPSILON),
         achieved_qps: served as f64 / total_wall.as_secs_f64().max(f64::EPSILON),
         latency: LatencyStats::from_sorted(&latencies),
         queue_depth_mean: depth_sum as f64 / (submitted as f64).max(1.0),
@@ -448,6 +502,29 @@ mod tests {
         assert!(counts[0] > counts[5], "head rank must dominate the tail");
     }
 
+    /// Park every worker of `pool` on a gate job and return once all of
+    /// them hold one; dropping the returned senders releases them.
+    fn hold_workers(pool: &WorkerPool) -> Vec<std::sync::mpsc::Sender<()>> {
+        use std::sync::mpsc::channel;
+        let (arrived_tx, arrived_rx) = channel();
+        let gates: Vec<_> = (0..pool.workers())
+            .map(|_| {
+                let (release_tx, release_rx) = channel::<()>();
+                let arrived = arrived_tx.clone();
+                pool.execute(move || {
+                    arrived.send(()).unwrap();
+                    // Blocks until the sender is dropped.
+                    let _ = release_rx.recv();
+                });
+                release_tx
+            })
+            .collect();
+        for _ in 0..pool.workers() {
+            arrived_rx.recv().unwrap();
+        }
+        gates
+    }
+
     #[test]
     fn smoke_scenarios_reconcile() {
         let cfg = ServingBenchConfig {
@@ -469,14 +546,29 @@ mod tests {
             duration: Duration::from_millis(200),
             max_queued: Some(4),
         };
-        let r = run(&cfg, &[steady, overload]);
+        let mut r = run(&cfg, &[steady]);
+        // Overload: every worker is held on a gate while the burst is
+        // submitted, so the admission queue fills however fast the
+        // queries run; the held jobs are served once the gate opens.
+        let pool = Arc::new(WorkerPool::new(cfg.workers));
+        let engine = Arc::new(RoxEngine::with_workers(
+            xmark_catalog(&cfg.xmark),
+            Arc::clone(&pool),
+        ));
+        let graphs = cfg.graphs();
+        let reference = warm_up(&cfg, &engine, &graphs);
+        let gates = hold_workers(&pool);
+        let arrivals = dispatch(&cfg, &overload, &engine, &graphs);
+        drop(gates);
+        r.scenarios
+            .push(drain(&overload, &engine, arrivals, &reference));
         assert_eq!(r.scenarios.len(), 2);
         for s in &r.scenarios {
             assert_eq!(s.submitted, s.served + s.rejected + s.aborted);
             assert!(s.served > 0, "{}: nothing served", s.scenario.name);
             assert!(s.latency.p50 <= s.latency.p99 && s.latency.p99 <= s.latency.max);
         }
-        // 2000 QPS of arrivals against a tiny bound must shed load.
+        // Arrivals against held workers and a tiny bound must shed load.
         assert!(
             r.scenarios[1].rejected > 0,
             "overload scenario never rejected"

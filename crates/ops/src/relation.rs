@@ -16,8 +16,8 @@
 //! same `DocId` millions of times. Every bulk operation (join composition,
 //! row filtering, sorting, dedup, cartesian products) works column-wise
 //! with index **gathers** — no per-row `Vec` is ever built, and the hot
-//! [`Relation::compose`] resolves node→row matches through a dense
-//! counting-sort index instead of a `HashMap`.
+//! [`Relation::compose`] resolves node→row matches through a rank-bitset
+//! index instead of a `HashMap`.
 
 use rand::Rng;
 use rox_xmldb::catalog::DocId;
@@ -237,8 +237,8 @@ impl Relation {
     ///
     /// This is how the evaluator turns a node-level structural or value
     /// join into the component-level join while preserving multiplicities.
-    /// Row matching goes through a dense counting-sort index per side
-    /// (node → rows, two array reads per lookup), and output rows are
+    /// Row matching goes through a rank-bitset index per side (node → rows,
+    /// a shift, a mask and a `count_ones` per lookup), and output rows are
     /// produced as one **gather per column** — never row by row.
     pub fn compose(
         left: &Relation,
@@ -247,26 +247,58 @@ impl Relation {
         var_b: VarId,
         pairs: &[(Pre, Pre)],
     ) -> Relation {
+        Relation::compose_kept(left, var_a, right, var_b, pairs).0
+    }
+
+    /// [`Relation::compose`], also reporting which inputs kept every row
+    /// in the output. A side that kept every row has the same distinct
+    /// nodes in each of its columns before and after the join, so the
+    /// evaluator can skip re-deriving their `T(v)`.
+    pub fn compose_kept(
+        left: &Relation,
+        var_a: VarId,
+        right: &Relation,
+        var_b: VarId,
+        pairs: &[(Pre, Pre)],
+    ) -> (Relation, KeptRows) {
         let left_index = RowIndex::build(left.col(var_a));
         let right_index = RowIndex::build(right.col(var_b));
+        // Groups already matched per side, and the rows they cover: a
+        // side kept every row once its covered rows reach its length.
+        let mut left_hit = vec![false; left.len()];
+        let mut right_hit = vec![false; right.len()];
+        let (mut left_covered, mut right_covered) = (0, 0);
         // Matched row-index pairs, flat: (left row, right row) per output
         // row, in pair order × left-row order × right-row order — exactly
-        // the row order the old per-pair nested loop produced.
-        let mut lrows = Vec::new();
-        let mut rrows = Vec::new();
+        // the row order the old per-pair nested loop produced. Sized for
+        // one row per pair, the common case.
+        let mut lrows = Vec::with_capacity(pairs.len());
+        let mut rrows = Vec::with_capacity(pairs.len());
         for &(a, b) in pairs {
-            let ls = left_index.rows(a);
-            let rs = right_index.rows(b);
-            if ls.is_empty() || rs.is_empty() {
+            let Some((lg, ls)) = left_index.group(a) else {
                 continue;
+            };
+            let Some((rg, rs)) = right_index.group(b) else {
+                continue;
+            };
+            let (ls, rs) = (ls.rows(), rs.rows());
+            if !left_hit[lg] {
+                left_hit[lg] = true;
+                left_covered += ls.len();
+            }
+            if !right_hit[rg] {
+                right_hit[rg] = true;
+                right_covered += rs.len();
             }
             for &li in ls {
-                for &ri in rs {
-                    lrows.push(li);
-                    rrows.push(ri);
-                }
+                lrows.extend(std::iter::repeat_n(li, rs.len()));
+                rrows.extend_from_slice(rs);
             }
         }
+        let kept = KeptRows {
+            left: left_covered == left.len(),
+            right: right_covered == right.len(),
+        };
         let mut schema = Vec::with_capacity(left.schema.len() + right.schema.len());
         schema.extend_from_slice(&left.schema);
         schema.extend_from_slice(&right.schema);
@@ -280,7 +312,7 @@ impl Relation {
         for col in &right.cols {
             cols.push(gather(col, &rrows));
         }
-        Relation { schema, docs, cols }
+        (Relation { schema, docs, cols }, kept)
     }
 
     /// Extend this relation with a new attribute through row-level pairs
@@ -335,84 +367,176 @@ fn gather(col: &[Pre], rows: &[Pre]) -> Vec<Pre> {
     rows.iter().map(|&i| col[i as usize]).collect()
 }
 
-/// Crossover of [`RowIndex`]'s dense (counting-sort) layout: the dense
-/// index zero-fills a `max(col) + 1` offsets array, which is only worth
-/// it while that universe stays within a small factor of the row count —
-/// a handful of rows scattered near the end of a 10M-node document must
-/// not cost 10M-entry array passes per join. Past the factor, a
-/// sort-based index (`O(rows · log rows)` build, binary-searched lookups)
-/// takes over.
-const ROW_INDEX_DENSE_FACTOR: usize = 16;
+/// Which inputs of [`Relation::compose_kept`] kept every row: each of
+/// that side's row indexes occurs in at least one output row. An empty
+/// side trivially kept every row.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct KeptRows {
+    /// Every left row is in the output.
+    pub left: bool,
+    /// Every right row is in the output.
+    pub right: bool,
+}
 
 /// A node → row-indexes multimap over one column: the hash-free
 /// replacement for `HashMap<NodeId, Vec<u32>>` in [`Relation::compose`].
-/// Dense (CSR over `0..=max(col)`, counting-sort build, O(1) lookups)
-/// while the value universe is comparable to the row count
-/// ([`ROW_INDEX_DENSE_FACTOR`]); sorted `(node, row)` pairs with
-/// binary-searched group lookups otherwise. Both keep groups in
-/// insertion (row) order — sorting `(node, row)` ties rows ascending —
-/// and lookups of absent nodes return the empty slice.
+///
+/// The rank-bitset layout covers the column's `[min, max]` span with one
+/// bit per node id, plus the rank (set bits before it) of every 64-id
+/// word; a node's rank numbers its group in a CSR over the distinct
+/// nodes. A strictly increasing column — a freshly materialized vertex's
+/// base list — needs no CSR: rank and row coincide. The bitset is used
+/// while the span holds at most 64 node ids per row — at most one word
+/// per row. A sparser column (a handful of rows scattered over a large
+/// document) falls back to sorted `(node, row)` pairs with binary-searched
+/// group lookups. Both keep groups in row order — sorting `(node, row)`
+/// ties rows ascending — and number groups below the column length.
 enum RowIndex {
-    Dense {
-        /// `universe + 1` prefix sums; group of node `p` is
-        /// `rows[offsets[p]..offsets[p + 1]]`.
-        offsets: Vec<Pre>,
-        /// Row indexes grouped by node, insertion (row) order per group.
-        rows: Vec<Pre>,
+    Bitset {
+        /// Smallest node of the column; bit `p - min` stands for node `p`.
+        min: Pre,
+        /// One bit per node id of `[min, max]`, set for nodes in the column.
+        words: Vec<u64>,
+        /// `ranks[w]` = set bits in `words[..w]`.
+        ranks: Vec<u32>,
+        /// `distinct + 1` prefix sums; the group of rank `r` is
+        /// `rows[offsets[r]..offsets[r + 1]]`. Empty, as is `rows`, when
+        /// the column is strictly increasing: rank `r` is row `r`.
+        offsets: Vec<u32>,
+        /// Row indexes grouped by node rank, row order per group.
+        rows: Vec<u32>,
     },
     Sorted {
         /// Column values, sorted; parallel to `rows`.
         keys: Vec<Pre>,
         /// Row indexes, ascending within one key's run.
-        rows: Vec<Pre>,
+        rows: Vec<u32>,
     },
+}
+
+/// The rows of one [`RowIndex`] group.
+enum Group<'a> {
+    /// The single row of a node in a strictly increasing column.
+    Row(u32),
+    /// A CSR or sorted-layout group.
+    Rows(&'a [u32]),
+}
+
+impl Group<'_> {
+    fn rows(&self) -> &[u32] {
+        match self {
+            Group::Row(row) => std::slice::from_ref(row),
+            Group::Rows(rows) => rows,
+        }
+    }
 }
 
 impl RowIndex {
     fn build(col: &[Pre]) -> RowIndex {
-        let universe = col.iter().map(|&p| p as usize + 1).max().unwrap_or(0);
-        if universe > col.len().saturating_mul(ROW_INDEX_DENSE_FACTOR) {
-            let mut pairs: Vec<(Pre, Pre)> = col
+        let increasing = col.windows(2).all(|w| w[0] < w[1]);
+        let (min, max) = match (col.first(), col.last()) {
+            (Some(&first), Some(&last)) if increasing => (first, last),
+            _ => col
+                .iter()
+                .fold((Pre::MAX, Pre::MIN), |(lo, hi), &p| (lo.min(p), hi.max(p))),
+        };
+        let word_count = if col.is_empty() {
+            0
+        } else {
+            ((max - min) as usize >> 6) + 1
+        };
+        if word_count > col.len() {
+            let mut pairs: Vec<(Pre, u32)> = col
                 .iter()
                 .enumerate()
-                .map(|(row, &p)| (p, row as Pre))
+                .map(|(row, &p)| (p, row as u32))
                 .collect();
             pairs.sort_unstable();
             let keys = pairs.iter().map(|&(p, _)| p).collect();
             let rows = pairs.iter().map(|&(_, row)| row).collect();
             return RowIndex::Sorted { keys, rows };
         }
-        let mut offsets: Vec<Pre> = vec![0; universe + 1];
+        let mut words = vec![0u64; word_count];
         for &p in col {
-            offsets[p as usize + 1] += 1;
+            let bit = (p - min) as usize;
+            words[bit >> 6] |= 1 << (bit & 63);
         }
-        for i in 1..offsets.len() {
-            offsets[i] += offsets[i - 1];
+        let mut ranks = Vec::with_capacity(word_count);
+        let mut distinct = 0u32;
+        for &w in &words {
+            ranks.push(distinct);
+            distinct += w.count_ones();
         }
-        let mut rows = vec![0; col.len()];
-        let mut cursor = offsets.clone();
+        if increasing {
+            return RowIndex::Bitset {
+                min,
+                words,
+                ranks,
+                offsets: Vec::new(),
+                rows: Vec::new(),
+            };
+        }
+        let rank = |p: Pre| {
+            let bit = (p - min) as usize;
+            (ranks[bit >> 6] + (words[bit >> 6] & ((1 << (bit & 63)) - 1)).count_ones()) as usize
+        };
+        // Counting sort by rank. `offsets[r + 1]` first counts group `r`,
+        // then holds its start and serves as its fill cursor, ending at
+        // its end — which is group `r + 1`'s start.
+        let mut offsets = vec![0u32; distinct as usize + 1];
+        for &p in col {
+            offsets[rank(p) + 1] += 1;
+        }
+        let mut start = 0;
+        for slot in &mut offsets[1..] {
+            let count = *slot;
+            *slot = start;
+            start += count;
+        }
+        let mut rows = vec![0u32; col.len()];
         for (row, &p) in col.iter().enumerate() {
-            let at = cursor[p as usize];
-            rows[at as usize] = row as Pre;
-            cursor[p as usize] += 1;
+            let cursor = &mut offsets[rank(p) + 1];
+            rows[*cursor as usize] = row as u32;
+            *cursor += 1;
         }
-        RowIndex::Dense { offsets, rows }
+        RowIndex::Bitset {
+            min,
+            words,
+            ranks,
+            offsets,
+            rows,
+        }
     }
 
+    /// The group of node `p`: its number (below the column length) and its
+    /// rows in row order, or `None` when `p` is not in the column.
     #[inline]
-    fn rows(&self, p: Pre) -> &[Pre] {
+    fn group(&self, p: Pre) -> Option<(usize, Group<'_>)> {
         match self {
-            RowIndex::Dense { offsets, rows } => {
-                let i = p as usize;
-                if i + 1 >= offsets.len() {
-                    return &[];
+            RowIndex::Bitset {
+                min,
+                words,
+                ranks,
+                offsets,
+                rows,
+            } => {
+                let bit = p.checked_sub(*min)? as usize;
+                let word = *words.get(bit >> 6)?;
+                let mask = 1u64 << (bit & 63);
+                if word & mask == 0 {
+                    return None;
                 }
-                &rows[offsets[i] as usize..offsets[i + 1] as usize]
+                let r = (ranks[bit >> 6] + (word & (mask - 1)).count_ones()) as usize;
+                if offsets.is_empty() {
+                    return Some((r, Group::Row(r as u32)));
+                }
+                let group = &rows[offsets[r] as usize..offsets[r + 1] as usize];
+                Some((r, Group::Rows(group)))
             }
             RowIndex::Sorted { keys, rows } => {
                 let start = keys.partition_point(|&k| k < p);
                 let end = start + keys[start..].partition_point(|&k| k == p);
-                &rows[start..end]
+                (start < end).then(|| (start, Group::Rows(&rows[start..end])))
             }
         }
     }

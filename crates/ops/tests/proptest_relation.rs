@@ -2,7 +2,7 @@
 //! distinct/sort idempotence, and tail invariants.
 
 use proptest::prelude::*;
-use rox_ops::{Cost, Relation, Tail};
+use rox_ops::{Cost, KeptRows, Relation, Tail};
 use rox_xmldb::catalog::DocId;
 use rox_xmldb::Pre;
 
@@ -14,6 +14,67 @@ fn single_rel(var: u32) -> impl Strategy<Value = Relation> {
 
 fn pairs_strategy() -> impl Strategy<Value = Vec<(Pre, Pre)>> {
     prop::collection::vec((0u32..12, 0u32..12), 0..25)
+}
+
+/// A column whose `[min, max]` span sits within ±70 node ids of the rank
+/// bitset's crossover (64 node ids per row), so it lands on either side of
+/// it. The span starts at node 0 or ends at `u32::MAX`; its extremes sit
+/// at rotated row positions, and some rows repeat the row before. Half the
+/// columns are sorted and deduplicated instead, like a base list.
+fn crossover_column() -> impl Strategy<Value = Vec<Pre>> {
+    (
+        prop::collection::vec((any::<u32>(), any::<bool>()), 0..14),
+        -70i64..=70,
+        any::<bool>(),
+        0usize..16,
+        any::<bool>(),
+    )
+        .prop_map(|(raw, delta, at_top, rot, increasing)| {
+            let rows = raw.len() as i64 + 2;
+            let span = (64 * rows + delta) as u32;
+            let min = if at_top { u32::MAX - (span - 1) } else { 0 };
+            let mut col = vec![min, min + (span - 1)];
+            for (r, repeat) in raw {
+                let last = col[col.len() - 1];
+                col.push(if repeat { last } else { min + r % span });
+            }
+            if increasing {
+                col.sort_unstable();
+                col.dedup();
+            } else {
+                let n = col.len();
+                col.rotate_left(rot % n);
+            }
+            col
+        })
+}
+
+/// Reference composition: the per-pair row nested loop, plus which rows of
+/// each side occur in the output.
+fn nested_loop(left: &Relation, right: &Relation, pairs: &[(Pre, Pre)]) -> (Relation, KeptRows) {
+    let mut out = Relation::empty(vec![1, 2], vec![D, D]);
+    let mut left_seen = vec![false; left.len()];
+    let mut right_seen = vec![false; right.len()];
+    for &(a, b) in pairs {
+        for (li, &lv) in left.col(1).iter().enumerate() {
+            if lv != a {
+                continue;
+            }
+            for (ri, &rv) in right.col(2).iter().enumerate() {
+                if rv != b {
+                    continue;
+                }
+                left_seen[li] = true;
+                right_seen[ri] = true;
+                out.push_row(&[lv, rv]);
+            }
+        }
+    }
+    let kept = KeptRows {
+        left: left_seen.iter().all(|&s| s),
+        right: right_seen.iter().all(|&s| s),
+    };
+    (out, kept)
 }
 
 proptest! {
@@ -57,9 +118,10 @@ proptest! {
         right_raw in prop::collection::vec(0u32..50_000, 0..20),
         picks in prop::collection::vec((0usize..24, 0usize..24), 0..25),
     ) {
-        // Node values far above the row count force RowIndex's sorted
-        // (binary-search) layout; pairs drawn from the actual columns so
-        // matches exist. Reference: the row nested loop.
+        // Node ids spread over far more than 64 per row force RowIndex's
+        // sorted (binary-search) layout instead of the rank bitset; pairs
+        // drawn from the actual columns so matches exist. Reference: the
+        // row nested loop.
         let left = Relation::single(1, D, left_raw);
         let right = Relation::single(2, D, right_raw);
         let pairs: Vec<(Pre, Pre)> = picks
@@ -79,6 +141,39 @@ proptest! {
         }
         let got = Relation::compose(&left, 1, &right, 2, &pairs);
         prop_assert_eq!(&got, &expected);
+    }
+
+    #[test]
+    fn compose_kept_flags_match_row_nested_loop(left in single_rel(1), right in single_rel(2), pairs in pairs_strategy()) {
+        let (got, kept) = Relation::compose_kept(&left, 1, &right, 2, &pairs);
+        let (expected, expected_kept) = nested_loop(&left, &right, &pairs);
+        prop_assert_eq!(&got, &expected);
+        prop_assert_eq!(kept, expected_kept);
+        prop_assert_eq!(&Relation::compose(&left, 1, &right, 2, &pairs), &got);
+    }
+
+    #[test]
+    fn compose_at_bitset_crossover_matches_row_nested_loop(
+        left_col in crossover_column(),
+        right_col in crossover_column(),
+        picks in prop::collection::vec((0usize..16, 0u32..3, 0usize..16, 0u32..3), 0..25),
+    ) {
+        // Pairs name column nodes (offset 0) or their upper neighbours,
+        // which may be absent, past the span, or wrap to node 0.
+        let left = Relation::single(1, D, left_col);
+        let right = Relation::single(2, D, right_col);
+        let pairs: Vec<(Pre, Pre)> = picks
+            .into_iter()
+            .map(|(i, da, j, db)| {
+                let a = left.col(1)[i % left.len()].wrapping_add(da);
+                let b = right.col(2)[j % right.len()].wrapping_add(db);
+                (a, b)
+            })
+            .collect();
+        let (got, kept) = Relation::compose_kept(&left, 1, &right, 2, &pairs);
+        let (expected, expected_kept) = nested_loop(&left, &right, &pairs);
+        prop_assert_eq!(&got, &expected);
+        prop_assert_eq!(kept, expected_kept);
     }
 
     #[test]

@@ -285,20 +285,36 @@ impl<'a> EvalState<'a> {
         let c2 = self.comp_of[v2 as usize].unwrap();
         let inputs = (self.card(v1), self.card(v2));
 
-        let (op, pair_count): (EdgeOpKind, usize) = if c1 == c2 {
+        // Vertices whose column may have lost nodes: those on a side that
+        // dropped rows. A side that kept every row keeps every column's
+        // distinct nodes, which are its `T(v)` already.
+        let (op, pair_count, refresh): (EdgeOpKind, usize, Vec<VertexId>) = if c1 == c2 {
             // Selection within one component.
             let rel = self.components[c1].take().expect("live component");
+            let before = rel.len();
             let filtered = self.filter_component(&edge, rel);
             let kept = filtered.len();
+            let refresh = if kept == before {
+                Vec::new()
+            } else {
+                filtered.schema().to_vec()
+            };
             self.components[c1] = Some(filtered);
-            (EdgeOpKind::Select, kept)
+            (EdgeOpKind::Select, kept, refresh)
         } else {
             let left = self.components[c1].take().expect("live component");
             let right = self.components[c2].take().expect("live component");
             let (pairs, op) = self.node_pairs(&edge);
             let pair_count = pairs.len();
-            let joined = Relation::compose(&left, v1, &right, v2, &pairs);
+            let (joined, kept) = Relation::compose_kept(&left, v1, &right, v2, &pairs);
             self.exec_cost.charge_out(joined.len());
+            let mut refresh = Vec::new();
+            if !kept.left {
+                refresh.extend_from_slice(left.schema());
+            }
+            if !kept.right {
+                refresh.extend_from_slice(right.schema());
+            }
             // Re-point all vertices of the absorbed component.
             for v in 0..self.comp_of.len() {
                 if self.comp_of[v] == Some(c2) {
@@ -306,7 +322,7 @@ impl<'a> EvalState<'a> {
                 }
             }
             self.components[c1] = Some(joined);
-            (op, pair_count)
+            (op, pair_count, refresh)
         };
 
         let merged = self.components[c1].as_ref().expect("live component");
@@ -319,25 +335,31 @@ impl<'a> EvalState<'a> {
         });
 
         // Refresh T(v), card(v) and S(v) for every vertex of the affected
-        // component — the component join semijoin-reduces all of them. The
-        // edge endpoints always count as changed: Algorithm 1 re-samples
-        // their incident edges unconditionally (lines 14-19).
+        // component whose column may have lost nodes — the component join
+        // semijoin-reduces them. The edge endpoints always count as
+        // changed: Algorithm 1 re-samples their incident edges
+        // unconditionally (lines 14-19). Samples are redrawn for every
+        // vertex of the component, in schema order, whether or not its
+        // table changed.
         let mut changed = vec![v1, v2];
         for i in 0..merged.schema().len() {
             let merged = self.components[c1].as_ref().expect("live component");
             let v = merged.schema()[i];
-            let t = Arc::new(merged.distinct_nodes(v));
-            let new_card = t.len();
-            let stale = self.t[v as usize].as_ref().is_none_or(|old| **old != *t);
-            if (stale || self.card[v as usize] != Some(new_card)) && !changed.contains(&v) {
-                changed.push(v);
+            if refresh.contains(&v) {
+                let t = Arc::new(merged.distinct_nodes(v));
+                let new_card = t.len();
+                let stale = self.t[v as usize].as_ref().is_none_or(|old| **old != *t);
+                if (stale || self.card[v as usize] != Some(new_card)) && !changed.contains(&v) {
+                    changed.push(v);
+                }
+                self.card[v as usize] = Some(new_card);
+                self.t[v as usize] = Some(t);
+                self.scratch.invalidate(v);
             }
-            self.card[v as usize] = Some(new_card);
             if let Some((rng, tau)) = sampler.as_mut() {
-                self.sample[v as usize] = Some(Arc::new(sample_sorted(*rng, &t, *tau)));
+                let t = self.t[v as usize].as_ref().expect("materialized");
+                self.sample[v as usize] = Some(Arc::new(sample_sorted(*rng, t, *tau)));
             }
-            self.t[v as usize] = Some(t);
-            self.scratch.invalidate(v);
         }
         changed
     }
@@ -685,5 +707,102 @@ mod tests {
         }
         assert!(st.cumulative_intermediate(false) >= st.cumulative_intermediate(true));
         assert!(st.cumulative_intermediate(true) >= 2);
+    }
+
+    /// The kept-rows refresh rule against the recompute-everything rule it
+    /// replaced, under random edge orders: every Q1 shape on a tiny XMark,
+    /// a few DBLP 4-venue author joins, whose inferred equi-join edges
+    /// close cycles and so run as selections that keep every row, and an
+    /// XMark query with two paths from an auction to a person, whose
+    /// cycle-closing step can drop nodes. After every edge, each
+    /// materialized `T(v)` equals the distinct nodes of its component
+    /// column, and `changed` is what re-deriving every column of the merged
+    /// component would report.
+    #[test]
+    fn kept_rows_refresh_matches_full_recompute() {
+        use rand::seq::SliceRandom;
+        use rox_datagen::{
+            dblp_query, generate_dblp, generate_xmark, grouped_combinations, xmark_query,
+            DblpConfig, XmarkConfig,
+        };
+        let cat = Arc::new(Catalog::new());
+        generate_xmark(&cat, "xmark.xml", &XmarkConfig::tiny());
+        generate_dblp(&cat, &DblpConfig::tiny());
+        let mut queries: Vec<String> = ["<", ">"]
+            .iter()
+            .flat_map(|op| [20.0, 60.0, 100.0, 145.0, 190.0, 240.0, 280.0].map(|t| (*op, t)))
+            .map(|(op, t)| xmark_query(op, t))
+            .collect();
+        queries.extend(
+            grouped_combinations()
+                .into_iter()
+                .step_by(97)
+                .map(|(venues, _)| dblp_query(&venues)),
+        );
+        queries.push(
+            r#"let $d := doc("xmark.xml")
+               for $o in $d//open_auction[.//current/text() < 145], $p in $d//person
+               where $o//bidder//personref/@person = $p/@id and
+                     $o//personref/@person = $p/@id
+               return $o"#
+                .to_string(),
+        );
+        let mut rng = StdRng::seed_from_u64(13);
+        // Selections seen that dropped nodes of some column, and the rest.
+        let (mut narrowing, mut keeping) = (0, 0);
+        for query in &queries {
+            let g = compile_query(query).unwrap();
+            let env = RoxEnv::new(Arc::clone(&cat), &g).unwrap();
+            for order_seed in 0..6u64 {
+                let mut st = EvalState::new(&env, &g);
+                let mut order = st.unexecuted_edges();
+                order.shuffle(&mut rng);
+                let mut sampler_rng = StdRng::seed_from_u64(order_seed);
+                for e in order {
+                    let before = st.t.clone();
+                    let cards = st.card.clone();
+                    let sampler = (order_seed % 2 == 0).then_some((&mut sampler_rng, 8));
+                    let changed = st.execute_edge(e, sampler);
+
+                    let edge = g.edge(e);
+                    let merged = st.components[st.comp_of[edge.v1 as usize].unwrap()]
+                        .as_ref()
+                        .unwrap();
+                    let mut expected = vec![edge.v1, edge.v2];
+                    let mut shrunk = false;
+                    for &v in merged.schema() {
+                        let distinct = merged.distinct_nodes(v);
+                        // Untouched before the edge: `ensure_materialized`
+                        // seeded it with the base list.
+                        let old = before[v as usize]
+                            .clone()
+                            .unwrap_or_else(|| env.base_list(&g, v));
+                        let old_card = cards[v as usize].unwrap_or(old.len());
+                        shrunk |= before[v as usize].is_some() && *old != distinct;
+                        if (*old != distinct || old_card != distinct.len())
+                            && !expected.contains(&v)
+                        {
+                            expected.push(v);
+                        }
+                    }
+                    assert_eq!(changed, expected, "edge {e} of {query}");
+                    if st.edge_log.last().unwrap().op == EdgeOpKind::Select {
+                        if shrunk {
+                            narrowing += 1;
+                        } else {
+                            keeping += 1;
+                        }
+                    }
+                    for v in 0..g.vertex_count() {
+                        let Some(cid) = st.comp_of[v] else { continue };
+                        let rel = st.components[cid].as_ref().unwrap();
+                        let t = st.t[v].as_ref().unwrap();
+                        assert_eq!(**t, rel.distinct_nodes(v as VertexId), "T({v})");
+                        assert_eq!(st.card[v], Some(t.len()), "card({v})");
+                    }
+                }
+            }
+        }
+        assert!(narrowing > 0 && keeping > 0, "{narrowing} / {keeping}");
     }
 }

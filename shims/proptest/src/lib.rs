@@ -10,10 +10,11 @@
 //! `#![proptest_config(...)]` support.
 //!
 //! Differences from crates.io proptest: cases are generated from a
-//! deterministic per-test seed (override the count with `PROPTEST_CASES`),
-//! and there is **no shrinking** — a failing case panics with its seed,
-//! case number, and `Debug`-printed inputs so it can be replayed by
-//! re-running the test.
+//! deterministic per-test seed (override the count with `PROPTEST_CASES`;
+//! mix a run-wide value into every seed with `PROPTEST_SEED`), and there
+//! is **no shrinking** — a failing case panics with its seed, the
+//! `PROPTEST_SEED` in effect, case number, and `Debug`-printed inputs so
+//! it can be replayed by re-running the test with the same variables.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -421,14 +422,24 @@ pub fn effective_cases(config: &ProptestConfig) -> u32 {
         .unwrap_or(config.cases)
 }
 
-/// Deterministic per-test seed derived from the test path (FNV-1a).
+/// The run-wide seed from `PROPTEST_SEED`, if set to an integer.
+pub fn env_seed() -> Option<u64> {
+    std::env::var("PROPTEST_SEED").ok()?.parse().ok()
+}
+
+/// Deterministic per-test seed derived from the test path (FNV-1a), with
+/// [`env_seed`] folded in when set — unset, the seed is the path hash
+/// alone, so the default run never changes.
 pub fn seed_for(test_name: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in test_name.bytes() {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
-    h
+    match env_seed() {
+        Some(run) => h ^ run.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        None => h,
+    }
 }
 
 /// Build the RNG for one case.
@@ -523,9 +534,11 @@ macro_rules! __proptest_impl {
                             ::core::result::Result::Ok(())
                         })();
                     if let ::core::result::Result::Err(message) = outcome {
+                        let run_seed = $crate::env_seed()
+                            .map_or("unset".to_string(), |s| s.to_string());
                         panic!(
-                            "proptest case {case}/{cases} failed (seed {seed:#x}):\n\
-                             {message}\ninputs: {repr}"
+                            "proptest case {case}/{cases} failed (seed {seed:#x}, \
+                             PROPTEST_SEED={run_seed}):\n{message}\ninputs: {repr}"
                         );
                     }
                 }
@@ -589,6 +602,18 @@ mod tests {
     fn failing_property_reports_inputs() {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(4))]
+            fn always_fails(x in 0u8..4) {
+                prop_assert!(x > 100, "x was {}", x);
+            }
+        }
+        always_fails();
+    }
+
+    #[test]
+    #[should_panic(expected = "PROPTEST_SEED=")]
+    fn failing_property_reports_run_seed() {
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1))]
             fn always_fails(x in 0u8..4) {
                 prop_assert!(x > 100, "x was {}", x);
             }

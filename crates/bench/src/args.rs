@@ -33,12 +33,15 @@ impl Args {
         out
     }
 
-    /// Value flag with default.
+    /// Value flag with default; a value that does not parse as `T` panics
+    /// with a message naming the flag and the value.
     pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.values
-            .get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        match self.values.get(name) {
+            None => default,
+            Some(v) => v
+                .parse()
+                .unwrap_or_else(|_| panic!("--{name}: cannot parse {v:?}")),
+        }
     }
 
     /// Boolean flag presence.
@@ -63,6 +66,12 @@ mod tests {
         assert!(a.has("explain"));
         assert!(!a.has("missing"));
         assert_eq!(a.get("missing", 3usize), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "--tau: cannot parse \"abc\"")]
+    fn malformed_value_panics_naming_flag_and_value() {
+        parse("--tau abc").get("tau", 100usize);
     }
 
     #[test]

@@ -7,8 +7,11 @@
 //! cargo run --release -p rox-bench --bin bench_serving -- \
 //!     [--smoke] [--out BENCH_serving.json] [--persons 3000] [--items 2500] \
 //!     [--auctions 2500] [--queries 6] [--tau 100] [--zipf 1.1] \
-//!     [--workers N] [--seed 42] [--steady-qps 100] [--overload-qps 900]
+//!     [--workers N] [--seed 42]
 //! ```
+//!
+//! Arrival rates are 0.5× (steady) and 1.5× (overload) the closed-loop
+//! capacity each scenario measures during warm-up.
 
 use rox_bench::args::Args;
 use rox_bench::serving::{self, ServingBenchConfig, ServingScenario};
@@ -29,18 +32,17 @@ fn main() {
     cfg.zipf_s = args.get("zipf", cfg.zipf_s);
     cfg.workers = args.get("workers", cfg.workers);
     cfg.seed = args.get("seed", cfg.seed);
-
-    let mut steady = ServingScenario::steady(smoke);
-    steady.arrival_qps = args.get("steady-qps", steady.arrival_qps);
-    let mut overload = ServingScenario::overload(smoke);
-    overload.arrival_qps = args.get("overload-qps", overload.arrival_qps);
     let out_path = args.get("out", "BENCH_serving.json".to_string());
 
     println!(
         "open-loop serving bench — XMark persons={} items={} auctions={}, {} shapes, zipf s={}, {} pool workers",
         cfg.xmark.persons, cfg.xmark.items, cfg.xmark.auctions, cfg.queries, cfg.zipf_s, cfg.workers
     );
-    let r = serving::run(&cfg, &[steady, overload]);
+    let scenarios = [
+        ServingScenario::steady(smoke),
+        ServingScenario::overload(smoke),
+    ];
+    let r = serving::run(&cfg, &scenarios);
     print!("{}", serving::render(&r));
 
     let json = serving::to_json(&cfg, &r);

@@ -4,8 +4,9 @@
 //!
 //! One module per table/figure of the paper's evaluation (§4), each with a
 //! `run(cfg)` entry point returning structured results and a binary under
-//! `src/bin/` that prints them. Criterion benches under `benches/` wrap
-//! the same entry points at reduced scale.
+//! `src/bin/` that prints them. End-to-end performance (replay, optimize,
+//! storage and WAL churn) is measured by the repository's benchmark under
+//! `benchmark/`, not here.
 //!
 //! | Paper artifact | Module | Binary |
 //! |---|---|---|
@@ -16,39 +17,26 @@
 //! | Fig. 7 (document-size scaling)          | [`fig7`]   | `fig7_scaling` |
 //! | Fig. 8 (sample-size overhead)           | [`fig8`]   | `fig8_sample_size` |
 //! | Thread scaling (extension)              | [`scaling_threads`] | `fig_scaling_threads` |
-//! | Dense-join layouts (extension)          | [`joins`]  | `bench_joins` |
-//! | Engine serving layer (extension)        | [`engine`] | `bench_engine` |
 //! | Open-loop tail-latency serving (extension) | [`serving`] | `bench_serving` |
-//! | Plan revalidation & demotion (extension) | [`revalidation`] | `bench_revalidation` |
-//! | Staircase kernels (extension)           | [`staircase`] | `bench_staircase` |
-//! | Snapshot storage & buffer pool (extension) | [`storage`] | `bench_storage` |
 //!
-//! Every `BENCH_*.json` emitter embeds the [`machine_json`] fragment so a
+//! `bench_serving` embeds the [`machine_json`] fragment so a
 //! committed artifact records the hardware it was measured on.
 
 pub mod args;
-pub mod engine;
 pub mod fig5;
 pub mod fig6;
 pub mod fig7;
 pub mod fig8;
-pub mod joins;
-pub mod recovery;
-pub mod revalidation;
 pub mod scaling_threads;
 pub mod serving;
 pub mod setup;
-pub mod staircase;
-pub mod storage;
 pub mod table2;
 pub mod table3;
 
 pub use setup::{dblp_catalog, xmark_catalog, DblpSetup};
 
-/// The `"machine"` fragment every `BENCH_*.json` emitter embeds: the
-/// logical core count the run saw and the size of the process-shared
-/// worker pool (benches that build their own pool additionally record
-/// their thread setting in their `config` object).
+/// The `"machine"` fragment `BENCH_serving.json` embeds: the logical
+/// core count the run saw and the size of the process-shared worker pool.
 pub fn machine_json() -> String {
     format!(
         "{{\"logical_cores\": {}, \"shared_pool_workers\": {}}}",

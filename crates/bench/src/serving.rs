@@ -10,7 +10,7 @@
 //! after the arrival window closes. Because the arrival clock never stops,
 //! queueing delay shows up in the measured latency instead of silently
 //! throttling the load — the *coordinated-omission*-free setup closed-loop
-//! harnesses (like `bench_engine`'s QPS loop) cannot provide.
+//! harnesses (like the repository's `benchmark/`) cannot provide.
 //!
 //! Per-job latency is `finished_at − submitted_at`, where `finished_at` is
 //! stamped by the worker the moment the query completes (see
@@ -20,11 +20,13 @@
 //! arrival), and the rejection rate produced by the bounded admission
 //! queue ([`RoxOptions::max_queued`]).
 //!
-//! Two committed scenarios: **steady** (arrival rate below the engine's
-//! capacity; queue stays shallow, rejections at zero) and **overload**
-//! (arrival rate above capacity with a small admission bound; the queue
-//! saturates and the engine sheds load with
-//! [`ServeError::Overloaded`] instead of buffering unboundedly).
+//! Arrival rates are fractions of the engine's measured capacity: during
+//! warm-up each scenario times a closed loop that keeps one query in
+//! flight per worker, and offers `load ×` that rate. Two committed
+//! scenarios: **steady** (ρ = 0.5; queue stays shallow, rejections at
+//! zero) and **overload** (ρ = 1.5 with a small admission bound; the queue
+//! saturates and the engine sheds load with [`ServeError::Overloaded`]
+//! instead of buffering unboundedly).
 
 use crate::xmark_catalog;
 use rand::rngs::StdRng;
@@ -42,7 +44,7 @@ use std::time::{Duration, Instant};
 pub struct ServingBenchConfig {
     /// XMark document shape.
     pub xmark: XmarkConfig,
-    /// Distinct query shapes (Q1 variants, as in `bench_engine`).
+    /// Distinct query shapes (Q1 variants).
     pub queries: usize,
     /// Sample size τ for the plan-seeding runs.
     pub tau: usize,
@@ -89,7 +91,7 @@ impl ServingBenchConfig {
         }
     }
 
-    /// The query shapes — same Q1-variant family as `bench_engine`.
+    /// The query shapes: Q1 variants with rising price thresholds.
     pub fn graphs(&self) -> Vec<JoinGraph> {
         (0..self.queries.max(1))
             .map(|i| {
@@ -105,8 +107,9 @@ impl ServingBenchConfig {
 pub struct ServingScenario {
     /// Scenario label (`steady`, `overload`, ...).
     pub name: &'static str,
-    /// Open-loop arrival rate in queries per second.
-    pub arrival_qps: f64,
+    /// Offered load as a fraction of the measured closed-loop capacity
+    /// (the target ρ); the arrival rate is `load × capacity`.
+    pub load: f64,
     /// Length of the arrival window.
     pub duration: Duration,
     /// Admission-queue bound handed to [`RoxOptions::max_queued`].
@@ -114,22 +117,23 @@ pub struct ServingScenario {
 }
 
 impl ServingScenario {
-    /// Arrivals comfortably below a single warm replay stream's capacity.
+    /// Arrivals at half the engine's measured capacity.
     pub fn steady(smoke: bool) -> Self {
         ServingScenario {
             name: "steady",
-            arrival_qps: 100.0,
+            load: 0.5,
             duration: Duration::from_millis(if smoke { 400 } else { 3000 }),
             max_queued: Some(512),
         }
     }
 
-    /// Arrivals well above capacity behind a small admission bound — the
-    /// queue saturates and load is shed via `Overloaded`.
+    /// Arrivals at 1.5× the engine's measured capacity behind a small
+    /// admission bound — the queue saturates and load is shed via
+    /// `Overloaded`.
     pub fn overload(smoke: bool) -> Self {
         ServingScenario {
             name: "overload",
-            arrival_qps: 900.0,
+            load: 1.5,
             duration: Duration::from_millis(if smoke { 400 } else { 2000 }),
             // The smoke document is small enough that a queue of 32 never
             // fills; a tighter bound keeps the rejection path exercised.
@@ -193,6 +197,10 @@ pub struct ScenarioResult {
     pub rejected: usize,
     /// Admitted jobs that never completed (should stay 0).
     pub aborted: usize,
+    /// Closed-loop capacity measured during warm-up, queries per second.
+    pub capacity_qps: f64,
+    /// Arrival rate the generator targeted: `load × capacity_qps`.
+    pub arrival_qps: f64,
     /// `rejected / submitted`.
     pub rejection_rate: f64,
     /// `submitted / arrival-window` — the load the generator actually
@@ -200,6 +208,8 @@ pub struct ScenarioResult {
     pub offered_qps: f64,
     /// `served / total wall` including the drain of in-flight tickets.
     pub achieved_qps: f64,
+    /// `offered_qps / capacity_qps` — the load the engine actually saw.
+    pub rho: f64,
     /// Latency distribution over served jobs (submit → worker finish).
     pub latency: LatencyStats,
     /// Mean admission-queue depth, sampled at every arrival.
@@ -240,7 +250,8 @@ pub fn run_scenario(cfg: &ServingBenchConfig, scenario: &ServingScenario) -> Sce
     ));
     let graphs = cfg.graphs();
     let reference = warm_up(cfg, &engine, &graphs);
-    let arrivals = dispatch(cfg, scenario, &engine, &graphs);
+    let capacity_qps = measure_capacity(cfg, &engine, &graphs);
+    let arrivals = dispatch(cfg, scenario, capacity_qps, &engine, &graphs);
     drain(scenario, &engine, arrivals, &reference)
 }
 
@@ -262,8 +273,42 @@ fn warm_up(cfg: &ServingBenchConfig, engine: &RoxEngine, graphs: &[JoinGraph]) -
         .collect()
 }
 
+/// Closed-loop jobs per worker timed by [`measure_capacity`].
+const CAPACITY_JOBS_PER_WORKER: usize = 100;
+
+/// Closed-loop capacity of the warmed `engine` in queries per second: one
+/// client per worker, each submitting the scenario's Zipf mix through the
+/// same admission path and waiting for every answer before the next.
+fn measure_capacity(
+    cfg: &ServingBenchConfig,
+    engine: &Arc<RoxEngine>,
+    graphs: &[JoinGraph],
+) -> f64 {
+    let workers = engine.workers().workers().max(1);
+    let cdf = zipf_cdf(graphs.len(), cfg.zipf_s);
+    let start = Instant::now();
+    std::thread::scope(|scope| {
+        for client in 0..workers {
+            let cdf = &cdf;
+            scope.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(cfg.seed + client as u64);
+                for _ in 0..CAPACITY_JOBS_PER_WORKER {
+                    let shape = zipf_pick(&mut rng, cdf);
+                    let ticket = engine
+                        .try_submit(&graphs[shape], seed_options(cfg))
+                        .expect("capacity run rejected");
+                    ticket.wait().result.expect("capacity run failed");
+                }
+            });
+        }
+    });
+    (CAPACITY_JOBS_PER_WORKER * workers) as f64 / start.elapsed().as_secs_f64().max(f64::EPSILON)
+}
+
 /// What the open-loop dispatcher leaves for [`drain`].
 struct Arrivals {
+    capacity_qps: f64,
+    arrival_qps: f64,
     start: Instant,
     window: Duration,
     inflight: Vec<(Instant, usize, EngineTicket)>,
@@ -273,14 +318,16 @@ struct Arrivals {
     depth_max: usize,
 }
 
-/// The arrival window: fire the scenario's Poisson arrivals at `engine`
-/// without ever waiting for a completion.
+/// The arrival window: fire the scenario's Poisson arrivals, at `load ×
+/// capacity_qps`, at `engine` without ever waiting for a completion.
 fn dispatch(
     cfg: &ServingBenchConfig,
     scenario: &ServingScenario,
+    capacity_qps: f64,
     engine: &Arc<RoxEngine>,
     graphs: &[JoinGraph],
 ) -> Arrivals {
+    let arrival_qps = scenario.load * capacity_qps;
     let serve_options = RoxOptions {
         max_queued: scenario.max_queued,
         ..seed_options(cfg)
@@ -318,9 +365,11 @@ fn dispatch(
         depth_max = depth_max.max(depth);
         // Poisson arrivals: exponential inter-arrival gap 1/λ · −ln(1−u).
         let u: f64 = rng.random();
-        next_at += Duration::from_secs_f64((-(1.0 - u).ln()) / scenario.arrival_qps);
+        next_at += Duration::from_secs_f64((-(1.0 - u).ln()) / arrival_qps);
     }
     Arrivals {
+        capacity_qps,
+        arrival_qps,
         start,
         window: start.elapsed(),
         inflight,
@@ -340,6 +389,8 @@ fn drain(
     reference: &[Relation],
 ) -> ScenarioResult {
     let Arrivals {
+        capacity_qps,
+        arrival_qps,
         start,
         window,
         inflight,
@@ -375,15 +426,19 @@ fn drain(
         "serving counters must reconcile: {stats:?}"
     );
 
+    let offered_qps = submitted as f64 / window.as_secs_f64().max(f64::EPSILON);
     ScenarioResult {
         scenario: scenario.clone(),
         submitted,
         served,
         rejected,
         aborted,
+        capacity_qps,
+        arrival_qps,
         rejection_rate: rejected as f64 / (submitted as f64).max(1.0),
-        offered_qps: submitted as f64 / window.as_secs_f64().max(f64::EPSILON),
+        offered_qps,
         achieved_qps: served as f64 / total_wall.as_secs_f64().max(f64::EPSILON),
+        rho: offered_qps / capacity_qps.max(f64::EPSILON),
         latency: LatencyStats::from_sorted(&latencies),
         queue_depth_mean: depth_sum as f64 / (submitted as f64).max(1.0),
         queue_depth_max: depth_max,
@@ -407,7 +462,8 @@ pub fn to_json(cfg: &ServingBenchConfig, r: &ServingBenchResult) -> String {
         .map(|s| {
             format!(
                 concat!(
-                    "    {{\"name\": \"{}\", \"arrival_qps\": {:.0}, \"duration_ms\": {}, ",
+                    "    {{\"name\": \"{}\", \"load\": {:.2}, \"capacity_qps\": {:.1}, ",
+                    "\"arrival_qps\": {:.1}, \"rho\": {:.3}, \"duration_ms\": {}, ",
                     "\"max_queued\": {}, \"submitted\": {}, \"served\": {}, \"rejected\": {}, ",
                     "\"aborted\": {}, \"rejection_rate\": {:.3}, \"offered_qps\": {:.1}, ",
                     "\"achieved_qps\": {:.1}, \"latency_ms\": {{\"p50\": {:.2}, \"p90\": {:.2}, ",
@@ -415,7 +471,10 @@ pub fn to_json(cfg: &ServingBenchConfig, r: &ServingBenchResult) -> String {
                     "\"queue_depth\": {{\"mean\": {:.1}, \"max\": {}}}}}"
                 ),
                 s.scenario.name,
-                s.scenario.arrival_qps,
+                s.scenario.load,
+                s.capacity_qps,
+                s.arrival_qps,
+                s.rho,
                 s.scenario.duration.as_millis(),
                 s.scenario
                     .max_queued
@@ -459,15 +518,28 @@ pub fn render(r: &ServingBenchResult) -> String {
     let mut out = String::new();
     writeln!(
         out,
-        "{:>9}  {:>8}  {:>7}  {:>7}  {:>6}  {:>9}  {:>9}  {:>9}  {:>9}  {:>7}",
-        "scenario", "offered", "served", "reject", "q-max", "p50", "p99", "p999", "max", "qps"
+        "{:>9}  {:>8}  {:>5}  {:>8}  {:>7}  {:>7}  {:>6}  {:>9}  {:>9}  {:>9}  {:>9}  {:>7}",
+        "scenario",
+        "capacity",
+        "rho",
+        "offered",
+        "served",
+        "reject",
+        "q-max",
+        "p50",
+        "p99",
+        "p999",
+        "max",
+        "qps"
     )
     .unwrap();
     for s in &r.scenarios {
         writeln!(
             out,
-            "{:>9}  {:>8.1}  {:>7}  {:>7}  {:>6}  {:>9.3?}  {:>9.3?}  {:>9.3?}  {:>9.3?}  {:>7.1}",
+            "{:>9}  {:>8.1}  {:>5.2}  {:>8.1}  {:>7}  {:>7}  {:>6}  {:>9.3?}  {:>9.3?}  {:>9.3?}  {:>9.3?}  {:>7.1}",
             s.scenario.name,
+            s.capacity_qps,
+            s.rho,
             s.offered_qps,
             s.served,
             s.rejected,
@@ -535,16 +607,14 @@ mod tests {
             ..ServingBenchConfig::smoke()
         };
         let steady = ServingScenario {
-            name: "steady",
-            arrival_qps: 50.0,
             duration: Duration::from_millis(200),
             max_queued: Some(64),
+            ..ServingScenario::steady(true)
         };
         let overload = ServingScenario {
-            name: "overload",
-            arrival_qps: 2000.0,
             duration: Duration::from_millis(200),
             max_queued: Some(4),
+            ..ServingScenario::overload(true)
         };
         let mut r = run(&cfg, &[steady]);
         // Overload: every worker is held on a gate while the burst is
@@ -557,8 +627,9 @@ mod tests {
         ));
         let graphs = cfg.graphs();
         let reference = warm_up(&cfg, &engine, &graphs);
+        let capacity_qps = measure_capacity(&cfg, &engine, &graphs);
         let gates = hold_workers(&pool);
-        let arrivals = dispatch(&cfg, &overload, &engine, &graphs);
+        let arrivals = dispatch(&cfg, &overload, capacity_qps, &engine, &graphs);
         drop(gates);
         r.scenarios
             .push(drain(&overload, &engine, arrivals, &reference));
@@ -573,8 +644,14 @@ mod tests {
             r.scenarios[1].rejected > 0,
             "overload scenario never rejected"
         );
+        for s in &r.scenarios {
+            assert!(s.capacity_qps > 0.0, "{}: no capacity", s.scenario.name);
+            assert_eq!(s.arrival_qps, s.scenario.load * s.capacity_qps);
+        }
         let json = to_json(&cfg, &r);
         assert!(json.contains("\"machine\""));
+        assert!(json.contains("\"capacity_qps\""));
+        assert!(json.contains("\"rho\""));
         assert!(json.contains("\"p999\""));
         assert!(json.contains("\"rejection_rate\""));
         let table = render(&r);

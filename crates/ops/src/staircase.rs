@@ -96,7 +96,7 @@ pub fn step_join_scratch(
 }
 
 /// As [`step_join`] with an explicit kernel (the entry point of the
-/// kernel-equivalence proptests and the `bench_staircase` microbench).
+/// kernel-equivalence proptests).
 /// [`StepKernel::Merge`] on a non-Child/Attribute axis falls back to the
 /// probe walk (the merge kernel is only defined for those axes).
 #[allow(clippy::too_many_arguments)]

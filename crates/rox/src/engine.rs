@@ -471,10 +471,6 @@ pub struct EngineStats {
     /// Documents/index sets decoded from the snapshot instead of being
     /// parsed/built (the store's fault counter).
     pub storage_loads: usize,
-    /// Segment-decode tasks the snapshot fanned out across the worker
-    /// pool ([`RoxEngine::preload_snapshot`]); stays 0 on the lazy
-    /// first-touch path.
-    pub storage_par_decodes: u64,
     /// Write-ahead-log counters (records, bytes, commits vs fsyncs,
     /// LSN water marks). All zero for an engine without a durable
     /// directory (see [`RoxEngine::make_durable`]).
@@ -727,44 +723,6 @@ impl RoxEngine {
         Ok(engine)
     }
 
-    /// As [`RoxEngine::open_snapshot`], then immediately
-    /// [`RoxEngine::preload_snapshot`]: every stored document and index
-    /// set is decoded up front, fanned out across the engine's worker
-    /// pool, so the first query after open runs entirely warm. The lazy
-    /// `open_snapshot` stays the default — an engine serving a small
-    /// working set out of a large snapshot should not pay for segments it
-    /// never touches.
-    pub fn open_snapshot_prefetched(
-        path: &Path,
-        frames: Option<usize>,
-    ) -> Result<Self, StorageError> {
-        let engine = Self::open_snapshot(path, frames)?;
-        engine.preload_snapshot()?;
-        Ok(engine)
-    }
-
-    /// Eagerly decode every non-stale stored document and index set into
-    /// residency, dispatching the per-segment decode work across the
-    /// engine's worker pool (two tasks per document: node columns and
-    /// index segments — see [`SnapshotSource::decode_all`]). Page reads
-    /// under the decode go through the buffer pool with scan hints and
-    /// readahead, so a pool smaller than the file still ends the preload
-    /// with its frames holding the *tail* of each segment, not a
-    /// thrashed prefix. Returns the number of documents made resident
-    /// (0 for an engine without a snapshot).
-    pub fn preload_snapshot(&self) -> Result<usize, StorageError> {
-        let Some(source) = &self.snapshot else {
-            return Ok(0);
-        };
-        let threads = Parallelism::Auto.threads().max(2);
-        let decoded = source.decode_all(&self.workers, threads)?;
-        let installed = decoded.len();
-        for (id, doc, indexes) in decoded {
-            self.store.install(id, doc, indexes);
-        }
-        Ok(installed)
-    }
-
     /// Persist this engine's catalog — documents, symbol heap, and the
     /// element/value indices (building any missing ones) — as a snapshot
     /// page file at `path`, ready for [`RoxEngine::open_snapshot`].
@@ -960,9 +918,9 @@ impl RoxEngine {
     /// Drop the in-memory residency of every snapshot-backed document —
     /// resident node tables, index cells, and base lists — without
     /// touching epochs, plans, or the snapshot's validity. The next query
-    /// faults everything back in through the buffer pool; benchmark
-    /// sweeps use this to measure warm-replay latency at different pool
-    /// sizes. Returns the number of documents released (always 0 for an
+    /// faults everything back in through the buffer pool; the
+    /// benchmark's `xmark-churn` workload sweeps residency this way to
+    /// keep the pool under pressure. Returns the number of documents released (always 0 for an
     /// engine without a snapshot — releasing would lose the only copy).
     pub fn release_residency(&self) -> usize {
         let Some(source) = &self.snapshot else {
@@ -1230,7 +1188,6 @@ impl RoxEngine {
                 .map(|s| s.page_count() as u64)
                 .unwrap_or(0),
             storage_loads: self.store.load_count(),
-            storage_par_decodes: self.snapshot.as_ref().map(|s| s.par_decodes()).unwrap_or(0),
             wal: self
                 .durable
                 .read()

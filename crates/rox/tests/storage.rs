@@ -1,10 +1,12 @@
 //! Engine ↔ snapshot-storage integration: cold opens serve bit-identical
 //! results without parsing or index builds, the buffer-pool ledger stays
-//! coherent under eviction pressure, and the storage-event routing
-//! guarantees a snapshot never serves an index from a superseded epoch.
+//! coherent under eviction pressure, recovery replays the log until a
+//! checkpoint truncates it, and the storage-event routing guarantees a
+//! snapshot never serves an index from a superseded epoch.
 
 use rox_core::{PlanReuse, RoxEngine, RoxOptions, StorageEventSink};
-use rox_xmldb::{Catalog, DocId};
+use rox_datagen::{generate_xmark, xmark_query, XmarkConfig};
+use rox_xmldb::{serialize_document, Catalog, DocId};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -139,37 +141,92 @@ fn half_pool_warm_replay_keeps_reused_pages_resident() {
     std::fs::remove_file(&path).ok();
 }
 
-/// The eager cold path: a prefetched open decodes everything up front,
-/// fanning the per-segment work across the engine's worker pool, so the
-/// first query touches no storage at all.
+/// On an XMark document of 300 persons, 250 items and 250 auctions the
+/// packed snapshot file undercuts the XML it replaces, and pools of 1, ½
+/// and ¼ of its pages each serve warm replays (residency released before
+/// each) partly from their frames.
 #[test]
-fn prefetched_open_is_resident_before_the_first_query() {
-    let path = snap_path("prefetched");
-    let fresh = parsed_engine(SITE_V1);
-    let expected = run(&fresh);
-    fresh.save_snapshot(&path).unwrap();
-
-    let engine = RoxEngine::open_snapshot_prefetched(&path, None).unwrap();
-    let id = engine.catalog().resolve("site.xml").unwrap();
+fn xmark_snapshot_undercuts_its_xml_and_every_pool_size_serves_hits() {
+    let path = snap_path("xmark");
+    let catalog = Arc::new(Catalog::new());
+    let cfg = XmarkConfig {
+        persons: 300,
+        items: 250,
+        auctions: 250,
+        ..XmarkConfig::default()
+    };
+    generate_xmark(&catalog, "xmark.xml", &cfg);
+    let xml_bytes = serialize_document(&catalog.doc(catalog.resolve("xmark.xml").unwrap())).len();
+    let graph = rox_joingraph::compile_query(&xmark_query("<", 145.0)).unwrap();
+    let fresh = RoxEngine::new(catalog);
+    let expected = fresh.run(&graph, RoxOptions::default()).unwrap().output;
+    let report = fresh.save_snapshot(&path).unwrap();
     assert!(
-        engine.catalog().get(id).is_some(),
-        "document must be resident before the first query"
+        report.file_bytes < xml_bytes as u64,
+        "snapshot ({} B) must be smaller than the XML it replaces ({xml_bytes} B)",
+        report.file_bytes
     );
-    let after_open = engine.stats();
-    assert!(
-        after_open.storage_par_decodes >= 2,
-        "decode must dispatch through the worker pool: {after_open:?}"
-    );
-    assert!(after_open.storage_loads >= 2, "doc + indexes installed");
 
-    assert_eq!(run(&engine), expected, "prefetched output diverged");
-    let stats = engine.stats();
-    assert_eq!(stats.index_builds, 0, "indexes must decode, not rebuild");
-    assert_eq!(
-        stats.storage_loads, after_open.storage_loads,
-        "the warm query must not fault anything else in"
-    );
+    for fraction in [1.0, 0.5, 0.25] {
+        let frames = ((report.pages as f64 * fraction) as usize).max(1);
+        let engine = RoxEngine::open_snapshot(&path, Some(frames)).unwrap();
+        for round in 0..3 {
+            if round > 0 {
+                engine.release_residency();
+            }
+            let output = engine.run(&graph, RoxOptions::default()).unwrap().output;
+            assert_eq!(output, expected, "pool {fraction} round {round} diverged");
+        }
+        let s = engine.stats().pages;
+        assert!(
+            s.hits > 0,
+            "pool at {:.0}% of the pages served zero hits: {s:?}",
+            fraction * 100.0
+        );
+    }
     std::fs::remove_file(&path).ok();
+}
+
+/// Durable mutations replay in full on recovery with no torn tail, the
+/// recovered engine answers like the writer did, and a checkpoint
+/// truncates the log so the next recovery replays nothing.
+#[test]
+fn recovery_replays_every_mutation_and_a_checkpoint_truncates_the_log() {
+    const MUTATIONS: usize = 5;
+    let dir = snap_path("durable");
+    std::fs::remove_dir_all(&dir).ok();
+    let engine = parsed_engine(SITE_V1);
+    engine.make_durable(&dir).unwrap();
+    for k in 0..MUTATIONS {
+        let xml = if k % 2 == 0 { SITE_V2 } else { SITE_V1 };
+        engine.catalog().load_str("site.xml", xml).unwrap();
+        engine
+            .try_invalidate_document("site.xml")
+            .unwrap()
+            .expect("durable mutation returns its LSN");
+    }
+    let wal = engine.stats().wal;
+    assert!(
+        wal.fsyncs <= wal.commits,
+        "more fsyncs than commits: {wal:?}"
+    );
+    let expected = run(&engine);
+    drop(engine);
+
+    let (recovered, report) = RoxEngine::recover(&dir, None).unwrap();
+    assert_eq!(report.replayed, MUTATIONS, "replay lost records");
+    assert_eq!(report.torn_tail_bytes, 0, "clean shutdown left a torn tail");
+    assert_eq!(run(&recovered), expected, "recovered output diverged");
+    recovered.checkpoint().unwrap();
+    drop(recovered);
+
+    let (recovered, report) = RoxEngine::recover(&dir, None).unwrap();
+    assert_eq!(
+        report.replayed, 0,
+        "the checkpoint did not truncate the log"
+    );
+    assert_eq!(run(&recovered), expected, "post-checkpoint output diverged");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Records every event the engine routes through the sink.

@@ -62,26 +62,9 @@ impl RunCodec {
         })
     }
 
-    /// Short human-readable name (bench/stats output).
-    pub fn name(self) -> &'static str {
-        match self {
-            RunCodec::Raw => "raw",
-            RunCodec::DeltaVarint => "delta-varint",
-            RunCodec::BitPacked => "bitpacked",
-        }
-    }
-
     /// The bit for this codec in a segment's codec mask.
     pub fn mask_bit(self) -> u8 {
         1 << (self as u8)
-    }
-
-    /// The codecs named by a segment codec mask.
-    pub fn from_mask(mask: u8) -> Vec<RunCodec> {
-        [RunCodec::Raw, RunCodec::DeltaVarint, RunCodec::BitPacked]
-            .into_iter()
-            .filter(|c| mask & c.mask_bit() != 0)
-            .collect()
     }
 }
 

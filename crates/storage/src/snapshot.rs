@@ -39,20 +39,18 @@
 //! which is what the committed golden fixture in CI leans on to detect
 //! accidental format changes.
 
-use crate::bytes::{ByteReader, ByteWriter, RunCodec, SegmentReader, SliceReader};
+use crate::bytes::{ByteReader, ByteWriter, SegmentReader, SliceReader};
 use crate::error::{Result, StorageError};
 use crate::file::{read_header_payload, FileManager};
 use crate::page::{encode_page, DEFAULT_PAGE_SIZE, MIN_PAGE_SIZE, PAGE_HEADER};
 use crate::pool::{BufferPool, PoolStats};
 use parking_lot::RwLock;
 use rox_index::{DocIndexes, DocSource, ElementIndex, IndexedStore, SymbolTable, ValueIndex};
-use rox_par::WorkerPool;
 use rox_xmldb::{Catalog, DocId, Document, Interner, NodeKind, Pre, Symbol};
 use std::collections::HashSet;
 use std::fs::File;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// File magic of a snapshot header page payload.
@@ -92,7 +90,8 @@ struct SegmentLoc {
 }
 
 /// One directory entry: where a document and its indices live, plus the
-/// [`RunCodec`] mask each segment's packed runs used.
+/// [`RunCodec`](crate::bytes::RunCodec) mask each segment's packed runs
+/// used.
 struct DocEntry {
     uri: String,
     doc_seg: SegmentLoc,
@@ -327,7 +326,6 @@ impl Snapshot {
             dir,
             interner,
             stale: RwLock::new(HashSet::new()),
-            par_decodes: AtomicU64::new(0),
         });
         Ok((catalog, source))
     }
@@ -344,8 +342,6 @@ pub struct SnapshotSource {
     /// Documents whose live copy diverged from the stored one: their
     /// stored *index* segments must never be served again.
     stale: RwLock<HashSet<DocId>>,
-    /// Segments decoded by [`SnapshotSource::decode_all`] fan-outs.
-    par_decodes: AtomicU64,
 }
 
 impl SnapshotSource {
@@ -412,67 +408,6 @@ impl SnapshotSource {
         Ok(Some(Arc::new(indexes)))
     }
 
-    /// Decode **every** stored document and its indices, fanning the
-    /// per-segment decode across `workers` with a budget of `threads`
-    /// (the warm-everything cold path: one readahead-batched scan per
-    /// segment instead of page-at-a-time faulting on first touch).
-    /// Results come back in directory order; stale documents get
-    /// `None` indices, exactly as [`SnapshotSource::try_indexes`] would
-    /// serve them.
-    pub fn decode_all(&self, workers: &WorkerPool, threads: usize) -> Result<Vec<DecodedEntry>> {
-        // Two tasks per document — document and index segments decode
-        // independently, so a single huge document still splits in two.
-        let tasks = self.dir.len() * 2;
-        let results = workers.par_map(threads.max(2), tasks, |t| {
-            let id = DocId((t / 2) as u32);
-            self.par_decodes.fetch_add(1, Ordering::Relaxed);
-            if t % 2 == 0 {
-                self.try_document(id).map(DecodedHalf::Doc)
-            } else {
-                self.try_indexes(id).map(DecodedHalf::Indexes)
-            }
-        });
-        let mut out = Vec::with_capacity(self.dir.len());
-        let mut halves = results.into_iter();
-        for i in 0..self.dir.len() {
-            let id = DocId(i as u32);
-            let doc = match halves.next().expect("one doc half per entry")? {
-                DecodedHalf::Doc(Some(doc)) => doc,
-                _ => {
-                    return Err(StorageError::Format(format!(
-                        "directory entry {i} has no document segment"
-                    )))
-                }
-            };
-            let indexes = match halves.next().expect("one index half per entry")? {
-                DecodedHalf::Indexes(idx) => idx,
-                DecodedHalf::Doc(_) => unreachable!("odd task index decodes indexes"),
-            };
-            out.push((id, doc, indexes));
-        }
-        Ok(out)
-    }
-
-    /// Segments decoded through [`SnapshotSource::decode_all`] fan-outs.
-    pub fn par_decodes(&self) -> u64 {
-        self.par_decodes.load(Ordering::Relaxed)
-    }
-
-    /// Per-segment codec choices, in directory order: segment name
-    /// (`uri#doc` / `uri#index`) and the [`RunCodec`]s its packed runs
-    /// used.
-    pub fn segment_codecs(&self) -> Vec<(String, Vec<RunCodec>)> {
-        let mut out = Vec::with_capacity(self.dir.len() * 2);
-        for e in &self.dir {
-            out.push((format!("{}#doc", e.uri), RunCodec::from_mask(e.doc_mask)));
-            out.push((
-                format!("{}#index", e.uri),
-                RunCodec::from_mask(e.index_mask),
-            ));
-        }
-        out
-    }
-
     /// Documents currently marked stale.
     pub fn stale_count(&self) -> usize {
         self.stale.read().len()
@@ -483,16 +418,6 @@ impl SnapshotSource {
     pub fn is_stale(&self, id: DocId) -> bool {
         self.stale.read().contains(&id)
     }
-}
-
-/// One [`SnapshotSource::decode_all`] result: a document and its stored
-/// indices (`None` when the document is marked stale).
-pub type DecodedEntry = (DocId, Arc<Document>, Option<Arc<DocIndexes>>);
-
-/// One half of a [`SnapshotSource::decode_all`] task's result.
-enum DecodedHalf {
-    Doc(Option<Arc<Document>>),
-    Indexes(Option<Arc<DocIndexes>>),
 }
 
 impl DocSource for SnapshotSource {
@@ -847,7 +772,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_columns_shrink_and_decode_all_fans_out() {
+    fn packed_columns_shrink_below_raw() {
         let path = temp_snapshot("packed");
         let store = sample_store();
         let report = Snapshot::save_with_page_size(&path, &store, 128).unwrap();
@@ -855,35 +780,6 @@ mod tests {
             report.payload_bytes < report.raw_payload_bytes,
             "packed segments must beat raw columns: {report:?}"
         );
-
-        let (catalog, source) = Snapshot::open(&path, None).unwrap();
-        // Every stored segment reports which codecs its runs used.
-        let codecs = source.segment_codecs();
-        assert_eq!(codecs.len(), 4);
-        assert!(codecs
-            .iter()
-            .any(|(name, cs)| name.ends_with("#doc") && !cs.is_empty()));
-
-        // decode_all fans both segments of every document through the
-        // worker pool and returns directory order.
-        let workers = WorkerPool::new(2);
-        let before = workers.batch_tasks();
-        let all = source.decode_all(&workers, 2).unwrap();
-        assert_eq!(workers.batch_tasks() - before, 4);
-        assert_eq!(source.par_decodes(), 4);
-        assert_eq!(all.len(), 2);
-        for (id, doc, indexes) in all {
-            let orig = store.doc(id);
-            assert_eq!(doc.columns().name, orig.columns().name);
-            let idx = indexes.expect("nothing stale");
-            assert_eq!(idx.element.elements(), store.indexes(id).element.elements());
-        }
-
-        // Stale documents come back without stored indices.
-        let id = catalog.resolve("tiny.xml").unwrap();
-        source.mark_stale(id);
-        let all = source.decode_all(&workers, 2).unwrap();
-        assert!(all[id.index()].2.is_none());
         std::fs::remove_file(&path).ok();
     }
 

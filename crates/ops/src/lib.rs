@@ -48,7 +48,7 @@ pub use partition::{
     hash_value_join_partitioned, hash_value_join_partitioned_with, step_join_partitioned,
     step_join_partitioned_scratch, MIN_PARTITION_INPUT,
 };
-pub use relation::{KeptRows, Relation, VarId};
+pub use relation::{distinct_sorted, Composed, KeptRows, Relation, Side, VarId};
 pub use rox_index::{PreSet, SymbolTable};
 pub use rox_par::Parallelism;
 pub use staircase::{naive_axis, step_join, step_join_kernel, step_join_scratch, StepScratch};

@@ -17,7 +17,10 @@
 //! row filtering, sorting, dedup, cartesian products) works column-wise
 //! with index **gathers** — no per-row `Vec` is ever built, and the hot
 //! [`Relation::compose`] resolves node→row matches through a rank-bitset
-//! index instead of a `HashMap`.
+//! index instead of a `HashMap`. [`Relation::compose_sides`] lets a vertex
+//! that has not joined a component yet take part as its bare table
+//! `T(v)`, which is never indexed, and [`distinct_sorted`] derives `T(v)`
+//! from a column without sorting it.
 
 use rand::Rng;
 use rox_xmldb::catalog::DocId;
@@ -103,7 +106,9 @@ impl Relation {
     }
 
     /// Distinct nodes of `var`'s column, sorted in document order — the
-    /// paper's `T(v)` as a projection of the component relation.
+    /// paper's `T(v)` as a projection of the component relation. Sort
+    /// based: the reference the evaluator's bitset-based
+    /// [`distinct_sorted`] is tested against.
     pub fn distinct_nodes(&self, var: VarId) -> Vec<Pre> {
         let mut nodes = self.col(var).to_vec();
         nodes.sort_unstable();
@@ -210,6 +215,16 @@ impl Relation {
         self.retain_rows(&keep);
     }
 
+    /// Sort rows lexicographically over the full schema and keep one row
+    /// of each equal run: [`Relation::distinct`] followed by
+    /// [`Relation::sort_by`] over the schema, in one sort.
+    pub fn sort_distinct(&mut self) {
+        let mut order: Vec<u32> = (0..self.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| self.rows_cmp(a, b));
+        order.dedup_by(|&mut b, &mut a| self.rows_cmp(a, b) == std::cmp::Ordering::Equal);
+        self.reorder(&order);
+    }
+
     /// Uniform without-replacement sample of `amount` rows (row order
     /// preserved).
     pub fn sample_rows<R: Rng + ?Sized>(&self, rng: &mut R, amount: usize) -> Relation {
@@ -263,11 +278,8 @@ impl Relation {
     ) -> (Relation, KeptRows) {
         let left_index = RowIndex::build(left.col(var_a));
         let right_index = RowIndex::build(right.col(var_b));
-        // Groups already matched per side, and the rows they cover: a
-        // side kept every row once its covered rows reach its length.
-        let mut left_hit = vec![false; left.len()];
-        let mut right_hit = vec![false; right.len()];
-        let (mut left_covered, mut right_covered) = (0, 0);
+        let mut left_hits = Hits::new(left.len());
+        let mut right_hits = Hits::new(right.len());
         // Matched row-index pairs, flat: (left row, right row) per output
         // row, in pair order × left-row order × right-row order — exactly
         // the row order the old per-pair nested loop produced. Sized for
@@ -282,37 +294,109 @@ impl Relation {
                 continue;
             };
             let (ls, rs) = (ls.rows(), rs.rows());
-            if !left_hit[lg] {
-                left_hit[lg] = true;
-                left_covered += ls.len();
-            }
-            if !right_hit[rg] {
-                right_hit[rg] = true;
-                right_covered += rs.len();
-            }
+            left_hits.mark(lg, ls.len());
+            right_hits.mark(rg, rs.len());
             for &li in ls {
                 lrows.extend(std::iter::repeat_n(li, rs.len()));
                 rrows.extend_from_slice(rs);
             }
         }
         let kept = KeptRows {
-            left: left_covered == left.len(),
-            right: right_covered == right.len(),
+            left: left_hits.kept_all(),
+            right: right_hits.kept_all(),
         };
-        let mut schema = Vec::with_capacity(left.schema.len() + right.schema.len());
-        schema.extend_from_slice(&left.schema);
-        schema.extend_from_slice(&right.schema);
-        let mut docs = Vec::with_capacity(schema.len());
-        docs.extend_from_slice(&left.docs);
-        docs.extend_from_slice(&right.docs);
-        let mut cols = Vec::with_capacity(schema.len());
-        for col in &left.cols {
-            cols.push(gather(col, &lrows));
+        let mut out = left.gathered(&lrows);
+        out.append(right.gathered(&rrows));
+        (out, kept)
+    }
+
+    /// [`Relation::compose_kept`] where either side, or both, may be a
+    /// vertex no executed edge has touched yet ([`Side::Unjoined`]). Rows,
+    /// row order and kept flags are exactly those of `compose_kept` over
+    /// the one-column relation of the unjoined side's table.
+    ///
+    /// On an unjoined side the output column is the pair's node itself:
+    /// that side is never indexed or looked up. Every pair node on it must
+    /// lie in its table — true of kernel pairs, which are computed over
+    /// `T(v1) × T(v2)`. One bitset over the table's span records the
+    /// matched nodes; it gives the side's kept flag and, when the side
+    /// dropped nodes, its new table already sorted ([`Composed::tables`]).
+    pub fn compose_sides(
+        left: Side<'_>,
+        var_a: VarId,
+        right: Side<'_>,
+        var_b: VarId,
+        pairs: &[(Pre, Pre)],
+    ) -> Composed {
+        debug_assert!(
+            pairs.iter().all(|&(a, b)| left.holds(a) && right.holds(b)),
+            "a pair node is not in its unjoined side's table"
+        );
+        // Per side: its kept flag and, for an unjoined side that dropped
+        // nodes, its new table.
+        let (rel, left_out, right_out) = match (left, right) {
+            (Side::Joined(left), Side::Joined(right)) => {
+                let (rel, kept) = Relation::compose_kept(left, var_a, right, var_b, pairs);
+                (rel, (kept.left, None), (kept.right, None))
+            }
+            (Side::Unjoined { doc, table }, Side::Joined(right)) => {
+                let (col, rows, unjoined, joined_kept) =
+                    join_unjoined(table, right, var_b, pairs.iter().copied());
+                let mut rel = Relation::single(var_a, doc, col);
+                rel.append(right.gathered(&rows));
+                (rel, unjoined, (joined_kept, None))
+            }
+            (Side::Joined(left), Side::Unjoined { doc, table }) => {
+                let flipped = pairs.iter().map(|&(a, b)| (b, a));
+                let (col, rows, unjoined, joined_kept) = join_unjoined(table, left, var_a, flipped);
+                let mut rel = left.gathered(&rows);
+                rel.append(Relation::single(var_b, doc, col));
+                (rel, (joined_kept, None), unjoined)
+            }
+            (
+                Side::Unjoined { doc, table },
+                Side::Unjoined {
+                    doc: doc_b,
+                    table: table_b,
+                },
+            ) => {
+                let mut left_matched = Matched::new(table);
+                let mut right_matched = Matched::new(table_b);
+                for &(a, b) in pairs {
+                    left_matched.hit(a);
+                    right_matched.hit(b);
+                }
+                let mut rel = Relation::single(var_a, doc, pairs.iter().map(|&(a, _)| a).collect());
+                let right_col = pairs.iter().map(|&(_, b)| b).collect();
+                rel.append(Relation::single(var_b, doc_b, right_col));
+                (rel, left_matched.finish(), right_matched.finish())
+            }
+        };
+        Composed {
+            rel,
+            kept: KeptRows {
+                left: left_out.0,
+                right: right_out.0,
+            },
+            tables: (left_out.1, right_out.1),
         }
-        for col in &right.cols {
-            cols.push(gather(col, &rrows));
+    }
+
+    /// Every column gathered through a row-index list.
+    fn gathered(&self, rows: &[u32]) -> Relation {
+        Relation {
+            schema: self.schema.clone(),
+            docs: self.docs.clone(),
+            cols: self.cols.iter().map(|col| gather(col, rows)).collect(),
         }
-        (Relation { schema, docs, cols }, kept)
+    }
+
+    /// Append `other`'s attributes; both must have the same length.
+    fn append(&mut self, other: Relation) {
+        debug_assert_eq!(self.len(), other.len());
+        self.schema.extend(other.schema);
+        self.docs.extend(other.docs);
+        self.cols.extend(other.cols);
     }
 
     /// Extend this relation with a new attribute through row-level pairs
@@ -363,8 +447,41 @@ impl Relation {
 }
 
 /// Gather `col` through a row-index list into a new output column.
-fn gather(col: &[Pre], rows: &[Pre]) -> Vec<Pre> {
+fn gather(col: &[Pre], rows: &[u32]) -> Vec<Pre> {
     rows.iter().map(|&i| col[i as usize]).collect()
+}
+
+/// The join of an unjoined side's `table` with component `joined` on its
+/// `var` column, through `pairs` given as (unjoined node, component node).
+/// Returns the unjoined side's output column, the component row of each
+/// output row, the unjoined side's kept flag and new table
+/// ([`Matched::finish`]), and whether the component kept every row.
+///
+/// The unjoined side has one row per node, so each matched pair yields
+/// its node once per row of the component node's group, in group order —
+/// the row order of [`Relation::compose_kept`] on either side.
+fn join_unjoined(
+    table: &[Pre],
+    joined: &Relation,
+    var: VarId,
+    pairs: impl ExactSizeIterator<Item = (Pre, Pre)>,
+) -> (Vec<Pre>, Vec<u32>, SideOutcome, bool) {
+    let index = RowIndex::build(joined.col(var));
+    let mut hits = Hits::new(joined.len());
+    let mut matched = Matched::new(table);
+    let mut col = Vec::with_capacity(pairs.len());
+    let mut rows = Vec::with_capacity(pairs.len());
+    for (u, j) in pairs {
+        let Some((group, group_rows)) = index.group(j) else {
+            continue;
+        };
+        let group_rows = group_rows.rows();
+        hits.mark(group, group_rows.len());
+        matched.hit(u);
+        col.extend(std::iter::repeat_n(u, group_rows.len()));
+        rows.extend_from_slice(group_rows);
+    }
+    (col, rows, matched.finish(), hits.kept_all())
 }
 
 /// Which inputs of [`Relation::compose_kept`] kept every row: each of
@@ -378,47 +495,184 @@ pub struct KeptRows {
     pub right: bool,
 }
 
-/// A node → row-indexes multimap over one column: the hash-free
+/// A bitset over the node ids of one `[min, max]` span: bit `p - min`
+/// stands for node `p`, one `u64` word per 64 ids. Callers keep the span
+/// within one document, so it is bounded by the document's node count,
+/// like a [`rox_index::PreSet`].
+struct SpanBits {
+    min: Pre,
+    words: Vec<u64>,
+}
+
+impl SpanBits {
+    /// The empty set over no span.
+    const EMPTY: SpanBits = SpanBits {
+        min: 0,
+        words: Vec::new(),
+    };
+
+    /// An empty set over `[min, max]`.
+    fn over(min: Pre, max: Pre) -> SpanBits {
+        SpanBits {
+            min,
+            words: vec![0; ((max - min) as usize >> 6) + 1],
+        }
+    }
+
+    /// The set of `col`'s nodes, over the column's own span.
+    fn of(col: &[Pre]) -> SpanBits {
+        let Some(&first) = col.first() else {
+            return SpanBits::EMPTY;
+        };
+        let (min, max) = col
+            .iter()
+            .fold((first, first), |(lo, hi), &p| (lo.min(p), hi.max(p)));
+        let mut bits = SpanBits::over(min, max);
+        for &p in col {
+            bits.insert(p);
+        }
+        bits
+    }
+
+    /// Add `p`, which must lie in the span.
+    #[inline]
+    fn insert(&mut self, p: Pre) {
+        let bit = (p - self.min) as usize;
+        self.words[bit >> 6] |= 1 << (bit & 63);
+    }
+
+    /// Number of nodes in the set.
+    fn count(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// The nodes in the set, ascending.
+    fn to_sorted(&self) -> Vec<Pre> {
+        let mut nodes = Vec::with_capacity(self.count());
+        for (i, &word) in self.words.iter().enumerate() {
+            let base = self.min + (i as Pre) * 64;
+            let mut w = word;
+            while w != 0 {
+                nodes.push(base + w.trailing_zeros());
+                w &= w - 1;
+            }
+        }
+        nodes
+    }
+}
+
+/// Distinct nodes of a column, sorted in document order, read off a
+/// bitset over the column's `[min, max]` span — no sort. The column's
+/// nodes must lie in one document, which bounds the span.
+pub fn distinct_sorted(col: &[Pre]) -> Vec<Pre> {
+    SpanBits::of(col).to_sorted()
+}
+
+/// One input of [`Relation::compose_sides`].
+#[derive(Clone, Copy, Debug)]
+pub enum Side<'a> {
+    /// A component relation.
+    Joined(&'a Relation),
+    /// A vertex no executed edge has touched yet, standing for the
+    /// one-column relation of its table `T(v)`: distinct nodes in
+    /// document order, all in `doc`.
+    Unjoined {
+        /// The document the nodes live in.
+        doc: DocId,
+        /// `T(v)`, strictly increasing.
+        table: &'a [Pre],
+    },
+}
+
+impl Side<'_> {
+    /// Whether `p` may be a pair node on this side: any node on a joined
+    /// side, only a node of its table on an unjoined one.
+    fn holds(&self, p: Pre) -> bool {
+        match self {
+            Side::Joined(_) => true,
+            Side::Unjoined { table, .. } => table.binary_search(&p).is_ok(),
+        }
+    }
+}
+
+/// The output of [`Relation::compose_sides`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Composed {
+    /// The composed relation.
+    pub rel: Relation,
+    /// Which inputs kept every row (for an unjoined side: every node).
+    pub kept: KeptRows,
+    /// `(left, right)`: the new `T(v)` of an unjoined side that dropped
+    /// nodes — the nodes it kept, ascending. `None` for a side that kept
+    /// every node and for a joined side.
+    pub tables: (Option<Vec<Pre>>, Option<Vec<Pre>>),
+}
+
+/// A side's kept flag and, for an unjoined side that dropped nodes, its
+/// new table.
+type SideOutcome = (bool, Option<Vec<Pre>>);
+
+/// The matched nodes of an unjoined side: a bitset over its table's span.
+struct Matched {
+    /// `|T(v)|`.
+    len: usize,
+    bits: SpanBits,
+}
+
+impl Matched {
+    fn new(table: &[Pre]) -> Matched {
+        debug_assert!(table.windows(2).all(|w| w[0] < w[1]), "T(v) is sorted");
+        let bits = match (table.first(), table.last()) {
+            (Some(&min), Some(&max)) => SpanBits::over(min, max),
+            _ => SpanBits::EMPTY,
+        };
+        Matched {
+            len: table.len(),
+            bits,
+        }
+    }
+
+    /// Record that pair node `p` produced output rows.
+    #[inline]
+    fn hit(&mut self, p: Pre) {
+        self.bits.insert(p);
+    }
+
+    /// Whether every node was matched, and if not, the matched nodes.
+    fn finish(self) -> SideOutcome {
+        if self.bits.count() == self.len {
+            (true, None)
+        } else {
+            (false, Some(self.bits.to_sorted()))
+        }
+    }
+}
+
+/// A node → row-indexes multimap over one component column: the hash-free
 /// replacement for `HashMap<NodeId, Vec<u32>>` in [`Relation::compose`].
 ///
-/// The rank-bitset layout covers the column's `[min, max]` span with one
-/// bit per node id, plus the rank (set bits before it) of every 64-id
-/// word; a node's rank numbers its group in a CSR over the distinct
-/// nodes. A strictly increasing column — a freshly materialized vertex's
-/// base list — needs no CSR: rank and row coincide. The bitset is used
-/// while the span holds at most 64 node ids per row — at most one word
-/// per row. A sparser column (a handful of rows scattered over a large
-/// document) falls back to sorted `(node, row)` pairs with binary-searched
-/// group lookups. Both keep groups in row order — sorting `(node, row)`
-/// ties rows ascending — and number groups below the column length.
-enum RowIndex {
-    Bitset {
-        /// Smallest node of the column; bit `p - min` stands for node `p`.
-        min: Pre,
-        /// One bit per node id of `[min, max]`, set for nodes in the column.
-        words: Vec<u64>,
-        /// `ranks[w]` = set bits in `words[..w]`.
-        ranks: Vec<u32>,
-        /// `distinct + 1` prefix sums; the group of rank `r` is
-        /// `rows[offsets[r]..offsets[r + 1]]`. Empty, as is `rows`, when
-        /// the column is strictly increasing: rank `r` is row `r`.
-        offsets: Vec<u32>,
-        /// Row indexes grouped by node rank, row order per group.
-        rows: Vec<u32>,
-    },
-    Sorted {
-        /// Column values, sorted; parallel to `rows`.
-        keys: Vec<Pre>,
-        /// Row indexes, ascending within one key's run.
-        rows: Vec<u32>,
-    },
+/// A [`SpanBits`] over the column's `[min, max]` span, plus the rank (set
+/// bits before it) of every 64-id word; a node's rank numbers its group in
+/// a CSR over the distinct nodes, rows in row order per group. A strictly
+/// increasing column needs no CSR: rank and row coincide. Group numbers
+/// stay below the column length.
+struct RowIndex {
+    bits: SpanBits,
+    /// `ranks[w]` = set bits in `bits.words[..w]`.
+    ranks: Vec<u32>,
+    /// `distinct + 1` prefix sums; the group of rank `r` is
+    /// `rows[offsets[r]..offsets[r + 1]]`. Empty, as is `rows`, when the
+    /// column is strictly increasing: rank `r` is row `r`.
+    offsets: Vec<u32>,
+    /// Row indexes grouped by node rank, row order per group.
+    rows: Vec<u32>,
 }
 
 /// The rows of one [`RowIndex`] group.
 enum Group<'a> {
     /// The single row of a node in a strictly increasing column.
     Row(u32),
-    /// A CSR or sorted-layout group.
+    /// A CSR group.
     Rows(&'a [u32]),
 }
 
@@ -433,59 +687,28 @@ impl Group<'_> {
 
 impl RowIndex {
     fn build(col: &[Pre]) -> RowIndex {
-        let increasing = col.windows(2).all(|w| w[0] < w[1]);
-        let (min, max) = match (col.first(), col.last()) {
-            (Some(&first), Some(&last)) if increasing => (first, last),
-            _ => col
-                .iter()
-                .fold((Pre::MAX, Pre::MIN), |(lo, hi), &p| (lo.min(p), hi.max(p))),
-        };
-        let word_count = if col.is_empty() {
-            0
-        } else {
-            ((max - min) as usize >> 6) + 1
-        };
-        if word_count > col.len() {
-            let mut pairs: Vec<(Pre, u32)> = col
-                .iter()
-                .enumerate()
-                .map(|(row, &p)| (p, row as u32))
-                .collect();
-            pairs.sort_unstable();
-            let keys = pairs.iter().map(|&(p, _)| p).collect();
-            let rows = pairs.iter().map(|&(_, row)| row).collect();
-            return RowIndex::Sorted { keys, rows };
-        }
-        let mut words = vec![0u64; word_count];
-        for &p in col {
-            let bit = (p - min) as usize;
-            words[bit >> 6] |= 1 << (bit & 63);
-        }
-        let mut ranks = Vec::with_capacity(word_count);
+        let bits = SpanBits::of(col);
+        let mut ranks = Vec::with_capacity(bits.words.len());
         let mut distinct = 0u32;
-        for &w in &words {
+        for &w in &bits.words {
             ranks.push(distinct);
             distinct += w.count_ones();
         }
-        if increasing {
-            return RowIndex::Bitset {
-                min,
-                words,
-                ranks,
-                offsets: Vec::new(),
-                rows: Vec::new(),
-            };
-        }
-        let rank = |p: Pre| {
-            let bit = (p - min) as usize;
-            (ranks[bit >> 6] + (words[bit >> 6] & ((1 << (bit & 63)) - 1)).count_ones()) as usize
+        let mut index = RowIndex {
+            bits,
+            ranks,
+            offsets: Vec::new(),
+            rows: Vec::new(),
         };
+        if col.windows(2).all(|w| w[0] < w[1]) {
+            return index;
+        }
         // Counting sort by rank. `offsets[r + 1]` first counts group `r`,
         // then holds its start and serves as its fill cursor, ending at
         // its end — which is group `r + 1`'s start.
         let mut offsets = vec![0u32; distinct as usize + 1];
         for &p in col {
-            offsets[rank(p) + 1] += 1;
+            offsets[index.rank(p) + 1] += 1;
         }
         let mut start = 0;
         for slot in &mut offsets[1..] {
@@ -495,50 +718,67 @@ impl RowIndex {
         }
         let mut rows = vec![0u32; col.len()];
         for (row, &p) in col.iter().enumerate() {
-            let cursor = &mut offsets[rank(p) + 1];
+            let cursor = &mut offsets[index.rank(p) + 1];
             rows[*cursor as usize] = row as u32;
             *cursor += 1;
         }
-        RowIndex::Bitset {
-            min,
-            words,
-            ranks,
-            offsets,
-            rows,
-        }
+        index.offsets = offsets;
+        index.rows = rows;
+        index
+    }
+
+    /// Rank of node `p`, which must be in the column.
+    #[inline]
+    fn rank(&self, p: Pre) -> usize {
+        let bit = (p - self.bits.min) as usize;
+        let word = self.bits.words[bit >> 6];
+        (self.ranks[bit >> 6] + (word & ((1 << (bit & 63)) - 1)).count_ones()) as usize
     }
 
     /// The group of node `p`: its number (below the column length) and its
     /// rows in row order, or `None` when `p` is not in the column.
     #[inline]
     fn group(&self, p: Pre) -> Option<(usize, Group<'_>)> {
-        match self {
-            RowIndex::Bitset {
-                min,
-                words,
-                ranks,
-                offsets,
-                rows,
-            } => {
-                let bit = p.checked_sub(*min)? as usize;
-                let word = *words.get(bit >> 6)?;
-                let mask = 1u64 << (bit & 63);
-                if word & mask == 0 {
-                    return None;
-                }
-                let r = (ranks[bit >> 6] + (word & (mask - 1)).count_ones()) as usize;
-                if offsets.is_empty() {
-                    return Some((r, Group::Row(r as u32)));
-                }
-                let group = &rows[offsets[r] as usize..offsets[r + 1] as usize];
-                Some((r, Group::Rows(group)))
-            }
-            RowIndex::Sorted { keys, rows } => {
-                let start = keys.partition_point(|&k| k < p);
-                let end = start + keys[start..].partition_point(|&k| k == p);
-                (start < end).then(|| (start, Group::Rows(&rows[start..end])))
-            }
+        let bit = p.checked_sub(self.bits.min)? as usize;
+        let word = *self.bits.words.get(bit >> 6)?;
+        let mask = 1u64 << (bit & 63);
+        if word & mask == 0 {
+            return None;
         }
+        let r = (self.ranks[bit >> 6] + (word & (mask - 1)).count_ones()) as usize;
+        if self.offsets.is_empty() {
+            return Some((r, Group::Row(r as u32)));
+        }
+        let group = &self.rows[self.offsets[r] as usize..self.offsets[r + 1] as usize];
+        Some((r, Group::Rows(group)))
+    }
+}
+
+/// Which groups of a [`RowIndex`] produced output rows, and the rows they
+/// cover: the side kept every row once the covered rows reach its length.
+struct Hits {
+    hit: Vec<bool>,
+    covered: usize,
+}
+
+impl Hits {
+    fn new(rows: usize) -> Hits {
+        Hits {
+            hit: vec![false; rows],
+            covered: 0,
+        }
+    }
+
+    #[inline]
+    fn mark(&mut self, group: usize, rows: usize) {
+        if !self.hit[group] {
+            self.hit[group] = true;
+            self.covered += rows;
+        }
+    }
+
+    fn kept_all(&self) -> bool {
+        self.covered == self.hit.len()
     }
 }
 

@@ -17,12 +17,14 @@ pub struct Tail {
 }
 
 impl Tail {
-    /// Apply the tail to a fully joined relation.
+    /// Apply the tail to a fully joined relation. `δ` and `τ` work on the
+    /// same variables — what the compiler always emits — so one sort does
+    /// both ([`Relation::sort_distinct`]).
     pub fn apply(&self, joined: &Relation, cost: &mut Cost) -> Relation {
+        debug_assert_eq!(self.dedup_vars, self.sort_vars);
         cost.charge_in(joined.len());
         let mut r = joined.project(&self.dedup_vars);
-        r.distinct();
-        r.sort_by(&self.sort_vars);
+        r.sort_distinct();
         let out = r.project(&self.output_vars);
         cost.charge_out(out.len());
         out
@@ -52,6 +54,48 @@ mod tests {
         let out = tail.apply(&r, &mut cost);
         // (3,20), (5,10), (5,30): output column of var 1.
         assert_eq!(out.col(1), &[3, 5, 5]);
+    }
+
+    #[test]
+    fn one_sort_matches_distinct_then_sort() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        for case in 0..200 {
+            let width = 1 + case % 3;
+            let schema: Vec<VarId> = (0..width as VarId).collect();
+            let mut r = Relation::empty(schema.clone(), vec![DocId(0); width]);
+            let range = 1 + rng.random_range(0..8u32);
+            for _ in 0..rng.random_range(0..40) {
+                let row: Vec<u32> = (0..width).map(|_| rng.random_range(0..range)).collect();
+                r.push_row(&row);
+            }
+            // The dedup/sort variables in a random order, as the compiler
+            // may list them; the output is one of them or all.
+            let mut vars = schema.clone();
+            vars.rotate_left(case % width);
+            let output_vars = if case % 2 == 0 {
+                vars.clone()
+            } else {
+                vec![vars[0]]
+            };
+            let tail = Tail {
+                dedup_vars: vars.clone(),
+                sort_vars: vars,
+                output_vars,
+            };
+            let mut cost = Cost::new();
+            let fused = tail.apply(&r, &mut cost);
+            // The two-step reference: distinct, then sort.
+            let mut stepped = r.project(&tail.dedup_vars);
+            stepped.distinct();
+            stepped.sort_by(&tail.sort_vars);
+            let stepped = stepped.project(&tail.output_vars);
+            let mut expected = Cost::new();
+            expected.charge_in(r.len());
+            expected.charge_out(stepped.len());
+            assert_eq!(fused, stepped, "case {case}");
+            assert_eq!(cost, expected, "case {case}");
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Algebraic property tests for [`Relation`]: compose/expand laws,
+//! composition with unjoined sides, bitset-derived distinct nodes,
 //! distinct/sort idempotence, and tail invariants.
 
 use proptest::prelude::*;
-use rox_ops::{Cost, KeptRows, Relation, Tail};
+use rox_ops::{distinct_sorted, Composed, Cost, KeptRows, Relation, Side, Tail};
 use rox_xmldb::catalog::DocId;
 use rox_xmldb::Pre;
 
@@ -250,5 +251,158 @@ proptest! {
             prop_assert_eq!(ex.col(1)[i], rel.col(1)[row as usize]);
             prop_assert_eq!(ex.col(2)[i], node);
         }
+    }
+}
+
+/// A vertex table `T(v)`: distinct nodes in document order, over a span
+/// that starts near node 0 or ends near `u32::MAX`.
+fn table_strategy() -> impl Strategy<Value = Vec<Pre>> {
+    (prop::collection::vec(0u32..300, 0..30), any::<bool>()).prop_map(|(mut nodes, at_top)| {
+        if at_top {
+            for p in &mut nodes {
+                *p = u32::MAX - *p;
+            }
+        }
+        nodes.sort_unstable();
+        nodes.dedup();
+        nodes
+    })
+}
+
+/// A two-attribute component (vars 2 and 3) whose join column, var 2,
+/// repeats nodes: some rows copy the node of the row before.
+fn component_strategy() -> impl Strategy<Value = Relation> {
+    prop::collection::vec((0u32..40, 0u32..1000, any::<bool>()), 0..30).prop_map(|rows| {
+        let mut rel = Relation::empty(vec![2, 3], vec![D, DocId(1)]);
+        let mut last = None;
+        for (node, other, repeat) in rows {
+            let node = match (repeat, last) {
+                (true, Some(prev)) => prev,
+                _ => node,
+            };
+            rel.push_row(&[node, other]);
+            last = Some(node);
+        }
+        rel
+    })
+}
+
+/// Pairs `(table node, component node)` from `table × col`, plus some
+/// component nodes absent from `col`.
+fn pairs_into(table: &[Pre], col: &[Pre], picks: &[(usize, usize, bool)]) -> Vec<(Pre, Pre)> {
+    if table.is_empty() {
+        return Vec::new();
+    }
+    picks
+        .iter()
+        .map(|&(i, j, absent)| {
+            let b = if absent || col.is_empty() {
+                40 + j as Pre
+            } else {
+                col[j % col.len()]
+            };
+            (table[i % table.len()], b)
+        })
+        .collect()
+}
+
+fn sort_dedup(col: &[Pre]) -> Vec<Pre> {
+    let mut nodes = col.to_vec();
+    nodes.sort_unstable();
+    nodes.dedup();
+    nodes
+}
+
+/// The table [`Relation::compose_sides`] must report for the unjoined
+/// attribute `var` of `out`: its distinct nodes if that side dropped
+/// nodes, nothing if it kept them all.
+fn expected_table(out: &Relation, var: u32, kept: bool) -> Option<Vec<Pre>> {
+    (!kept).then(|| sort_dedup(out.col(var)))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn compose_sides_left_unjoined_matches_compose_kept(
+        table in table_strategy(),
+        comp in component_strategy(),
+        picks in prop::collection::vec((0usize..64, 0usize..64, any::<bool>()), 0..40),
+    ) {
+        let pairs = pairs_into(&table, comp.col(2), &picks);
+        let single = Relation::single(1, D, table.clone());
+        let (expected, kept) = Relation::compose_kept(&single, 1, &comp, 2, &pairs);
+        let got = Relation::compose_sides(Side::Unjoined { doc: D, table: &table }, 1, Side::Joined(&comp), 2, &pairs);
+        let tables = (expected_table(&expected, 1, kept.left), None);
+        prop_assert_eq!(got, Composed { rel: expected, kept, tables });
+    }
+
+    #[test]
+    fn compose_sides_right_unjoined_matches_compose_kept(
+        table in table_strategy(),
+        comp in component_strategy(),
+        picks in prop::collection::vec((0usize..64, 0usize..64, any::<bool>()), 0..40),
+    ) {
+        let pairs: Vec<(Pre, Pre)> =
+            pairs_into(&table, comp.col(2), &picks).into_iter().map(|(a, b)| (b, a)).collect();
+        let single = Relation::single(1, D, table.clone());
+        let (expected, kept) = Relation::compose_kept(&comp, 2, &single, 1, &pairs);
+        let got = Relation::compose_sides(Side::Joined(&comp), 2, Side::Unjoined { doc: D, table: &table }, 1, &pairs);
+        let tables = (None, expected_table(&expected, 1, kept.right));
+        prop_assert_eq!(got, Composed { rel: expected, kept, tables });
+    }
+
+    #[test]
+    fn compose_sides_both_unjoined_matches_compose_kept(
+        left in table_strategy(),
+        right in table_strategy(),
+        picks in prop::collection::vec((0usize..64, 0usize..64), 0..40),
+    ) {
+        let pairs: Vec<(Pre, Pre)> = if left.is_empty() || right.is_empty() {
+            Vec::new()
+        } else {
+            picks.iter().map(|&(i, j)| (left[i % left.len()], right[j % right.len()])).collect()
+        };
+        let (expected, kept) = Relation::compose_kept(
+            &Relation::single(1, D, left.clone()),
+            1,
+            &Relation::single(2, DocId(1), right.clone()),
+            2,
+            &pairs,
+        );
+        let got = Relation::compose_sides(
+            Side::Unjoined { doc: D, table: &left },
+            1,
+            Side::Unjoined { doc: DocId(1), table: &right },
+            2,
+            &pairs,
+        );
+        let tables = (expected_table(&expected, 1, kept.left), expected_table(&expected, 2, kept.right));
+        prop_assert_eq!(got, Composed { rel: expected, kept, tables });
+    }
+
+    #[test]
+    fn distinct_sorted_matches_sort_dedup(
+        raw in prop::collection::vec(0u32..200, 0..40),
+        anchor in 0u32..3,
+        shift in 0u32..128,
+        boundary in any::<bool>(),
+    ) {
+        // Offsets from the column's minimum, on both sides of the 64-id
+        // word boundaries when `boundary` is set; the column is anchored
+        // at node 0, at `u32::MAX`, or at an arbitrary shift off a word.
+        let mut offsets = raw;
+        if boundary {
+            offsets.extend([0, 63, 64, 127, 128]);
+        }
+        let col: Vec<Pre> = offsets
+            .iter()
+            .map(|&x| match anchor {
+                0 => x,
+                1 => u32::MAX - x,
+                _ => 64 * 1000 + shift + x,
+            })
+            .collect();
+        prop_assert_eq!(distinct_sorted(&col), sort_dedup(&col));
     }
 }

@@ -281,7 +281,7 @@ pub(crate) fn run_guarded(
         joined,
         output,
         executed_order,
-        edge_log: state.edge_log.clone(),
+        edge_log: std::mem::take(&mut state.edge_log),
         exec_cost,
         sample_cost,
         wall: started.elapsed(),

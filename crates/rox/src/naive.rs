@@ -7,7 +7,7 @@
 
 use crate::env::RoxEnv;
 use rox_joingraph::{JoinGraph, VertexLabel};
-use rox_ops::{edge_predicate, Cost, Relation, Tail};
+use rox_ops::{edge_predicate, Relation};
 use rox_xmldb::Pre;
 use std::collections::HashMap;
 
@@ -104,12 +104,12 @@ pub fn naive_evaluate(env: &RoxEnv, graph: &JoinGraph) -> (Relation, Relation) {
         });
     }
     let joined = joined.unwrap_or_else(|| Relation::empty(vec![], vec![]));
-    let tail = Tail {
-        dedup_vars: graph.tail.dedup.clone(),
-        sort_vars: graph.tail.sort.clone(),
-        output_vars: vec![graph.tail.output],
-    };
-    let output = tail.apply(&joined, &mut Cost::new());
+    // The plan tail as two independent steps — distinct, then sort — so
+    // the engine's fused `Tail::apply` has a separate reference.
+    let mut output = joined.project(&graph.tail.dedup);
+    output.distinct();
+    output.sort_by(&graph.tail.sort);
+    let output = output.project(&[graph.tail.output]);
     (joined, output)
 }
 

@@ -190,7 +190,7 @@ pub fn run_rox_with_env(
         joined,
         output,
         executed_order,
-        edge_log: state.edge_log.clone(),
+        edge_log: std::mem::take(&mut state.edge_log),
         exec_cost,
         sample_cost,
         exec_wall,

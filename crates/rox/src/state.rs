@@ -4,7 +4,9 @@
 //! materializing partial results" (§1.1). The state tracks:
 //!
 //! * **components** — maximal sets of vertices connected by already
-//!   executed edges, each with its materialized fully-joined [`Relation`];
+//!   executed edges, each with its materialized fully-joined [`Relation`]
+//!   (a vertex no executed edge has touched has none: its `T(v)` stands
+//!   for its one-column relation);
 //! * **per-vertex tables** `T(v)` — the distinct nodes of `v` that still
 //!   participate (Algorithm 1's semijoin-reduced vertex tables), plus
 //!   `card(v)` and the sample `S(v)`;
@@ -21,9 +23,10 @@ use rand::rngs::StdRng;
 use rox_index::{sample_sorted, PreSet, SymbolTable};
 use rox_joingraph::{EdgeId, EdgeKind, JoinGraph, VertexId, VertexLabel};
 use rox_ops::{
-    choose_op, choose_step_kernel, edge_predicate, execute_edge_op_with, Cost, DenseState,
-    EdgeClass, EdgeOpCtx, EdgeOpKind, ExecMode, Relation, StepKernel, Tail,
+    choose_op, choose_step_kernel, distinct_sorted, edge_predicate, execute_edge_op_with, Cost,
+    DenseState, EdgeClass, EdgeOpCtx, EdgeOpKind, ExecMode, Relation, Side, StepKernel, Tail,
 };
+use rox_xmldb::catalog::DocId;
 use rox_xmldb::{NodeKind, Pre};
 use std::sync::{Arc, RwLock};
 
@@ -249,20 +252,37 @@ impl<'a> EvalState<'a> {
         self.sample[v as usize] = Some(Arc::new(sample_sorted(rng, &t, tau)));
     }
 
-    /// Materialize a vertex as its own singleton component if untouched.
+    /// Materialize `T(v)` from the base list if untouched. The vertex joins
+    /// no component yet: until an edge joins it, its table stands for its
+    /// one-column relation, shared with the environment's base list.
     fn ensure_materialized(&mut self, v: VertexId) {
-        if self.comp_of[v as usize].is_some() {
+        if self.t[v as usize].is_some() {
             return;
         }
         let base = self.env.base_list(self.graph, v);
         self.exec_cost.charge_in(base.len());
-        let rel = Relation::single(v, self.env.doc_id(v), base.to_vec());
-        let cid = self.components.len();
-        self.components.push(Some(rel));
-        self.comp_of[v as usize] = Some(cid);
+        self.card[v as usize] = Some(base.len());
         self.t[v as usize] = Some(base);
         self.scratch.invalidate(v);
-        self.card[v as usize] = Some(self.t[v as usize].as_ref().unwrap().len());
+    }
+
+    /// `T(v)` from `v`'s column `col` after it dropped rows.
+    fn table_of(&self, v: VertexId, col: &[Pre]) -> Vec<Pre> {
+        self.debug_assert_in_doc(v, col);
+        distinct_sorted(col)
+    }
+
+    /// Every node of `v`'s column lies in `v`'s document, so a bitset over
+    /// the column's span ([`distinct_sorted`], the row index of
+    /// [`Relation::compose_sides`]) is bounded by the document's node count.
+    fn debug_assert_in_doc(&self, v: VertexId, col: &[Pre]) {
+        if cfg!(debug_assertions) {
+            let nodes = self.env.doc(v).node_count();
+            debug_assert!(
+                col.iter().all(|&p| (p as usize) < nodes),
+                "column of vertex {v} leaves its document ({nodes} nodes)"
+            );
+        }
     }
 
     /// Execute edge `e` fully, materializing the result. Returns the
@@ -281,51 +301,80 @@ impl<'a> EvalState<'a> {
         let (v1, v2) = (edge.v1, edge.v2);
         self.ensure_materialized(v1);
         self.ensure_materialized(v2);
-        let c1 = self.comp_of[v1 as usize].unwrap();
-        let c2 = self.comp_of[v2 as usize].unwrap();
+        let c1 = self.comp_of[v1 as usize];
+        let c2 = self.comp_of[v2 as usize];
         let inputs = (self.card(v1), self.card(v2));
 
-        // Vertices whose column may have lost nodes: those on a side that
-        // dropped rows. A side that kept every row keeps every column's
-        // distinct nodes, which are its `T(v)` already.
-        let (op, pair_count, refresh): (EdgeOpKind, usize, Vec<VertexId>) = if c1 == c2 {
-            // Selection within one component.
-            let rel = self.components[c1].take().expect("live component");
-            let before = rel.len();
-            let filtered = self.filter_component(&edge, rel);
-            let kept = filtered.len();
-            let refresh = if kept == before {
-                Vec::new()
-            } else {
-                filtered.schema().to_vec()
-            };
-            self.components[c1] = Some(filtered);
-            (EdgeOpKind::Select, kept, refresh)
-        } else {
-            let left = self.components[c1].take().expect("live component");
-            let right = self.components[c2].take().expect("live component");
-            let (pairs, op) = self.node_pairs(&edge);
-            let pair_count = pairs.len();
-            let (joined, kept) = Relation::compose_kept(&left, v1, &right, v2, &pairs);
-            self.exec_cost.charge_out(joined.len());
-            let mut refresh = Vec::new();
-            if !kept.left {
-                refresh.extend_from_slice(left.schema());
-            }
-            if !kept.right {
-                refresh.extend_from_slice(right.schema());
-            }
-            // Re-point all vertices of the absorbed component.
-            for v in 0..self.comp_of.len() {
-                if self.comp_of[v] == Some(c2) {
-                    self.comp_of[v] = Some(c1);
+        // The new `T(v)` of every vertex whose column may have lost nodes:
+        // those on a side that dropped rows. A side that kept every row
+        // keeps every column's distinct nodes, which are its `T(v)`
+        // already.
+        let mut tables: Vec<(VertexId, Vec<Pre>)> = Vec::new();
+        let (op, pair_count, cid) = match (c1, c2) {
+            (Some(c1), Some(c2)) if c1 == c2 => {
+                // Selection within one component.
+                let rel = self.components[c1].take().expect("live component");
+                let before = rel.len();
+                let filtered = self.filter_component(&edge, rel);
+                let kept = filtered.len();
+                if kept != before {
+                    for &v in filtered.schema() {
+                        tables.push((v, self.table_of(v, filtered.col(v))));
+                    }
                 }
+                self.components[c1] = Some(filtered);
+                (EdgeOpKind::Select, kept, c1)
             }
-            self.components[c1] = Some(joined);
-            (op, pair_count, refresh)
+            _ => {
+                let left = c1.map(|c| self.components[c].take().expect("live component"));
+                let right = c2.map(|c| self.components[c].take().expect("live component"));
+                let (pairs, op) = self.node_pairs(&edge);
+                let t1 = Arc::clone(self.t[v1 as usize].as_ref().expect("materialized"));
+                let t2 = Arc::clone(self.t[v2 as usize].as_ref().expect("materialized"));
+                // Component columns are row-indexed over their span.
+                for rel in left.iter().chain(right.iter()) {
+                    for &v in rel.schema() {
+                        self.debug_assert_in_doc(v, rel.col(v));
+                    }
+                }
+                let composed = Relation::compose_sides(
+                    side(&left, self.env.doc_id(v1), &t1),
+                    v1,
+                    side(&right, self.env.doc_id(v2), &t2),
+                    v2,
+                    &pairs,
+                );
+                let joined = composed.rel;
+                self.exec_cost.charge_out(joined.len());
+                for (v, side, kept, table) in [
+                    (v1, &left, composed.kept.left, composed.tables.0),
+                    (v2, &right, composed.kept.right, composed.tables.1),
+                ] {
+                    match (side, table) {
+                        (_, Some(table)) => tables.push((v, table)),
+                        (Some(rel), None) if !kept => {
+                            for &v in rel.schema() {
+                                tables.push((v, self.table_of(v, joined.col(v))));
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+                // The merged component takes over v1's slot, else v2's,
+                // else a new one; re-point every vertex of the other.
+                let cid = c1.or(c2).unwrap_or_else(|| {
+                    self.components.push(None);
+                    self.components.len() - 1
+                });
+                for &v in joined.schema() {
+                    self.comp_of[v as usize] = Some(cid);
+                }
+                self.components[cid] = Some(joined);
+                (op, pairs.len(), cid)
+            }
         };
 
-        let merged = self.components[c1].as_ref().expect("live component");
+        let merged = self.components[cid].as_ref().expect("live component");
         self.edge_log.push(EdgeExec {
             edge: e,
             result_rows: merged.len(),
@@ -342,19 +391,23 @@ impl<'a> EvalState<'a> {
         // vertex of the component, in schema order, whether or not its
         // table changed.
         let mut changed = vec![v1, v2];
-        for i in 0..merged.schema().len() {
-            let merged = self.components[c1].as_ref().expect("live component");
-            let v = merged.schema()[i];
-            if refresh.contains(&v) {
-                let t = Arc::new(merged.distinct_nodes(v));
-                let new_card = t.len();
-                let stale = self.t[v as usize].as_ref().is_none_or(|old| **old != *t);
-                if (stale || self.card[v as usize] != Some(new_card)) && !changed.contains(&v) {
-                    changed.push(v);
+        let schema = merged.schema().to_vec();
+        for v in schema {
+            if let Some(i) = tables.iter().position(|&(u, _)| u == v) {
+                let t = tables.swap_remove(i).1;
+                let old = self.t[v as usize].as_ref().expect("materialized");
+                // A join or selection only drops nodes, so the new table is
+                // a subset of the old one: it changed iff it shrank. An
+                // unchanged table keeps its `Arc` and its scratch entries.
+                debug_assert!(t.iter().all(|p| old.binary_search(p).is_ok()));
+                if t.len() != old.len() {
+                    if !changed.contains(&v) {
+                        changed.push(v);
+                    }
+                    self.card[v as usize] = Some(t.len());
+                    self.t[v as usize] = Some(Arc::new(t));
+                    self.scratch.invalidate(v);
                 }
-                self.card[v as usize] = Some(new_card);
-                self.t[v as usize] = Some(t);
-                self.scratch.invalidate(v);
             }
             if let Some((rng, tau)) = sampler.as_mut() {
                 let t = self.t[v as usize].as_ref().expect("materialized");
@@ -493,6 +546,12 @@ impl<'a> EvalState<'a> {
                 continue;
             }
             self.ensure_materialized(v.id);
+            if self.comp_of[v.id as usize].is_none() {
+                let t = self.t[v.id as usize].as_ref().expect("materialized");
+                let rel = Relation::single(v.id, self.env.doc_id(v.id), t.to_vec());
+                self.comp_of[v.id as usize] = Some(self.components.len());
+                self.components.push(Some(rel));
+            }
         }
         // Collect live components that contain at least one non-root
         // vertex. Finalization consumes them: the evaluation is over, so
@@ -551,6 +610,15 @@ impl<'a> EvalState<'a> {
     /// The node kind of a vertex (text/attr distinction for value joins).
     pub fn vertex_kind(&self, v: VertexId) -> NodeKind {
         RoxEnv::vertex_kind(&self.graph.vertex(v).label)
+    }
+}
+
+/// A [`Relation::compose_sides`] input: the component relation if the
+/// vertex has joined one, else its table `T(v)` in document `doc`.
+fn side<'r>(rel: &'r Option<Relation>, doc: DocId, table: &'r [Pre]) -> Side<'r> {
+    match rel {
+        Some(rel) => Side::Joined(rel),
+        None => Side::Unjoined { doc, table },
     }
 }
 
